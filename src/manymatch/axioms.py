@@ -18,6 +18,7 @@ from .core import (
     PartnerSet,
     PreferenceRelation,
     UnsupportedSizeError,
+    bits,
     choice_mask,
 )
 
@@ -29,7 +30,6 @@ CHECK_CAP = 16
 class Axiom(Enum):
     SUBSTITUTABILITY = "substitutability"
     LAD = "lad"
-    RESPONSIVE = "responsive"
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,12 @@ def _descending_subsets(universe: int):
         sub = (sub - 1) & universe
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _violation(axiom: Axiom, pref: PreferenceRelation, offer: int, reduced: int,
+               kept: int | None, removed: int) -> AxiomReport:
+    side = pref.owner.side.opposite
+    witness = AxiomWitness(pref.owner, PartnerSet(side, offer), PartnerSet(side, reduced),
+                           kept, removed)
+    return AxiomReport(axiom, False, witness)
 
 
 @lru_cache(maxsize=4096)
@@ -95,24 +96,16 @@ def check_substitutable(pref: PreferenceRelation) -> AxiomReport:
     """Does every chosen partner stay chosen when another partner leaves the
     offer set?  Exhaustive over all offer sets drawn from the listed members."""
     universe = _require_checkable(pref)
-    side = pref.owner.side.opposite
     for offer in _descending_subsets(universe):
         chosen = choice_mask(offer, pref)
         if chosen.bit_count() == 0:
             continue
-        for kept in _bits(chosen):
-            for removed in _bits(offer & ~(1 << kept)):
+        for kept in bits(chosen):
+            for removed in bits(offer & ~(1 << kept)):
                 reduced = offer & ~(1 << removed)
                 if choice_mask(reduced, pref) >> kept & 1:
                     continue
-                witness = AxiomWitness(
-                    agent=pref.owner,
-                    offer_set=PartnerSet(side, offer),
-                    reduced_set=PartnerSet(side, reduced),
-                    kept=kept,
-                    removed=removed,
-                )
-                return AxiomReport(Axiom.SUBSTITUTABILITY, False, witness)
+                return _violation(Axiom.SUBSTITUTABILITY, pref, offer, reduced, kept, removed)
     return AxiomReport(Axiom.SUBSTITUTABILITY, True)
 
 
@@ -126,22 +119,14 @@ def check_lad(pref: PreferenceRelation) -> AxiomReport:
     all-pairs oracle).
     """
     universe = _require_checkable(pref)
-    side = pref.owner.side.opposite
     for offer in _descending_subsets(universe):
         if offer == 0:
             break
         count = choice_mask(offer, pref).bit_count()
-        for removed in _bits(offer):
+        for removed in bits(offer):
             reduced = offer & ~(1 << removed)
             if choice_mask(reduced, pref).bit_count() > count:
-                witness = AxiomWitness(
-                    agent=pref.owner,
-                    offer_set=PartnerSet(side, offer),
-                    reduced_set=PartnerSet(side, reduced),
-                    kept=None,
-                    removed=removed,
-                )
-                return AxiomReport(Axiom.LAD, False, witness)
+                return _violation(Axiom.LAD, pref, offer, reduced, None, removed)
     return AxiomReport(Axiom.LAD, True)
 
 

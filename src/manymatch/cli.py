@@ -36,7 +36,7 @@ from .manipulation import (
 )
 from .markets import run_bundled_checks
 from .solver import StableRule, apply_rule
-from .stability import DEFAULT_MAX_EDGES, enumerate_stable
+from .stability import DEFAULT_MAX_EDGES, MAX_EDGES_CEILING, enumerate_stable
 
 _RULES = {rule.value: rule for rule in StableRule}
 
@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
     common.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES, metavar="N",
-                        help=f"cap on n*m for stable-set enumeration (default {DEFAULT_MAX_EDGES})")
+                        help=f"cap on n*m for stable-set enumeration (default {DEFAULT_MAX_EDGES}, "
+                             f"at most {MAX_EDGES_CEILING})")
 
     parser = argparse.ArgumentParser(
         prog="manymatch",
@@ -100,9 +101,9 @@ def _load(path: str) -> MarketInstance:
     return parse_market(text)
 
 
-def _axiom_report_payload(report: AxiomReport, instance: MarketInstance) -> dict:
+def _axiom_report_payload(name: str, report: AxiomReport, instance: MarketInstance) -> dict:
     payload = {
-        "agent": None,  # filled by the caller, which knows the checked agent
+        "agent": name,
         "axiom": report.axiom.value,
         "holds": report.holds,
         "witness": None,
@@ -148,9 +149,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str], MarketInstance | None]:
         for label, checker in checkers:
             report = checker(p[agent])
             all_hold &= report.holds
-            payload = _axiom_report_payload(report, instance)
-            payload["agent"] = name
-            reports.append(payload)
+            reports.append(_axiom_report_payload(name, report, instance))
             if report.holds:
                 lines.append(f"{name} {label}: holds")
             else:

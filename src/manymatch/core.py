@@ -3,8 +3,9 @@
 Two disjoint sides (firms and workers); every agent holds a strict ranking
 over subsets of the opposite side, written as an ordered list of acceptable
 sets with the empty set as the implicit worst acceptable outcome.  A matching
-is an arbitrary set of firm-worker edges.  Partner sets are bitmasks over
-agent indices, capped at 32 agents per side.
+is an arbitrary set of firm-worker edges, stored as one worker bitmask per
+firm.  Partner sets are bitmasks over agent indices, capped at 32 agents per
+side.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -16,6 +17,24 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 MAX_SIDE = 32
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def transpose(masks: Iterable[int], size: int) -> list[int]:
+    """Swap the two index roles: bit j of ``masks[i]`` becomes bit i of
+    ``out[j]``.  Bits at or above ``size`` are dropped."""
+    out = [0] * size
+    for i, mask in enumerate(masks):
+        for j in bits(mask & ((1 << size) - 1)):
+            out[j] |= 1 << i
+    return out
 
 
 class MatchingError(Exception):
@@ -83,7 +102,7 @@ class PartnerSet:
         return cls(side, mask)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
+        return tuple(bits(self.mask))
 
     def __contains__(self, index: int) -> bool:
         return bool(self.mask >> index & 1)
@@ -108,9 +127,6 @@ class PartnerSet:
     def issubset(self, other: "PartnerSet") -> bool:
         self._require_same_side(other)
         return self.mask & ~other.mask == 0
-
-    def with_member(self, index: int) -> "PartnerSet":
-        return PartnerSet(self.side, self.mask | 1 << index)
 
     def without_member(self, index: int) -> "PartnerSet":
         return PartnerSet(self.side, self.mask & ~(1 << index))
@@ -234,53 +250,52 @@ def replace_preference(profile: Profile, agent: AgentId, pref: PreferenceRelatio
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of (firm index, worker index) edges.
+    """A set of (firm index, worker index) edges, stored as firm rows.
 
-    Any edge subset is a matching in this model; per-agent views are derived,
-    so the two views of an edge agree by construction.
+    ``rows[f]`` is the worker bitmask of firm f.  Trailing empty rows are
+    dropped on construction, so two matchings are equal exactly when their
+    edge sets are equal.  Any edge subset is a matching in this model.
     """
 
-    edges: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(self.rows)
+        while rows and not rows[-1]:
+            rows = rows[:-1]
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
-        return cls(frozenset((f, w) for f, w in pairs))
-
-    @classmethod
-    def from_views(cls, views: Iterable[tuple[AgentId, PartnerSet]]) -> "Matching":
-        """Rebuild a matching from per-agent partner sets (either or both sides)."""
-        edges = set()
-        for agent, partners in views:
-            if partners.side is not agent.side.opposite:
-                raise ValueError(f"view of {agent} lists partners on the wrong side")
-            for p in partners:
-                edge = (agent.index, p) if agent.side is Side.FIRM else (p, agent.index)
-                edges.add(edge)
-        return cls(frozenset(edges))
+        rows: list[int] = []
+        for f, w in pairs:
+            if f < 0 or w < 0:
+                raise ValueError(f"edge ({f}, {w}) has a negative index")
+            rows.extend([0] * (f + 1 - len(rows)))
+            rows[f] |= 1 << w
+        return cls(tuple(rows))
 
     @classmethod
     def empty(cls) -> "Matching":
-        return cls(frozenset())
+        return cls(())
 
-    def edge_mask(self, num_workers: int) -> int:
-        """Integer encoding of the edge set: bit f*num_workers + w per edge."""
-        mask = 0
-        for f, w in self.edges:
-            mask |= 1 << (f * num_workers + w)
-        return mask
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((f, w) for f, row in enumerate(self.rows) for w in bits(row))
+
+    def row(self, f: int) -> int:
+        """Worker bitmask of firm ``f``; 0 for firms past the stored rows."""
+        return self.rows[f] if f < len(self.rows) else 0
 
 
 def matched_set(mu: Matching, agent: AgentId) -> PartnerSet:
     """The partners of ``agent`` under ``mu``; empty for single agents."""
-    mask = 0
     if agent.side is Side.FIRM:
-        for f, w in mu.edges:
-            if f == agent.index:
-                mask |= 1 << w
+        mask = mu.row(agent.index)
     else:
-        for f, w in mu.edges:
-            if w == agent.index:
-                mask |= 1 << f
+        mask = 0
+        for f, row in enumerate(mu.rows):
+            mask |= (row >> agent.index & 1) << f
     return PartnerSet(agent.side.opposite, mask)
 
 

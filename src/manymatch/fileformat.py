@@ -18,6 +18,8 @@ allowed.
 
 from __future__ import annotations
 
+import re
+
 from .core import (
     MarketInstance,
     MatchingError,
@@ -28,7 +30,6 @@ from .core import (
     Side,
     AgentId,
     MAX_SIDE,
-    matched_set,
 )
 
 EMPTY_SET_TEXT = "∅"
@@ -46,15 +47,18 @@ class ParseError(MatchingError):
         super().__init__(where + message)
 
 
-def _split_names(body: str) -> list[str]:
-    return body.split()
+def _column(text: str, offset: int, token: str) -> int:
+    """1-based column of the first whitespace-separated ``token`` in ``text``,
+    where ``text`` starts at 0-based ``offset`` of its line."""
+    return next(offset + m.start() + 1 for m in re.finditer(r"\S+", text) if m.group() == token)
 
 
 def parse_market(text: str) -> MarketInstance:
     """Parse a market document into a validated MarketInstance."""
     firm_names: list[str] | None = None
     worker_names: list[str] | None = None
-    pref_lines: list[tuple[int, str, str, str]] = []  # (lineno, raw, name, body)
+    # (lineno, head, body, and the 0-based offsets of head and body in the raw line)
+    pref_lines: list[tuple[int, str, int, str, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -63,19 +67,19 @@ def parse_market(text: str) -> MarketInstance:
         if line.startswith("firms:"):
             if firm_names is not None:
                 raise ParseError("duplicate 'firms:' line", lineno)
-            firm_names = _split_names(line[len("firms:"):])
+            firm_names = line[len("firms:"):].split()
         elif line.startswith("workers:"):
             if worker_names is not None:
                 raise ParseError("duplicate 'workers:' line", lineno)
-            worker_names = _split_names(line[len("workers:"):])
+            worker_names = line[len("workers:"):].split()
         elif line.startswith("pref "):
             head, sep, body = line[len("pref "):].partition(":")
             if not sep:
                 raise ParseError("expected ':' after the agent name in a pref line", lineno)
-            name = head.strip()
-            if not name or len(name.split()) != 1:
+            if len(head.split()) != 1:
                 raise ParseError("expected exactly one agent name in a pref line", lineno)
-            pref_lines.append((lineno, raw, name, body))
+            start = raw.find("pref ") + len("pref ")
+            pref_lines.append((lineno, head, start, body, start + len(head) + 1))
         else:
             raise ParseError(f"unrecognized line {line.split()[0]!r}", lineno)
 
@@ -101,7 +105,8 @@ def parse_market(text: str) -> MarketInstance:
     worker_index = {name: j for j, name in enumerate(worker_names)}
 
     relations: dict[AgentId, PreferenceRelation] = {}
-    for lineno, raw, name, body in pref_lines:
+    for lineno, head, start, body, offset in pref_lines:
+        name = head.strip()
         if name in firm_index:
             owner = AgentId(Side.FIRM, firm_index[name])
             members, member_side = worker_index, Side.WORKER
@@ -110,14 +115,13 @@ def parse_market(text: str) -> MarketInstance:
             members, member_side = firm_index, Side.FIRM
         else:
             raise ParseError(f"pref line for undeclared agent {name!r}", lineno,
-                             column=raw.find(name) + 1)
+                             _column(head, start, name))
         if owner in relations:
             raise ParseError(f"duplicate pref line for agent {name!r}", lineno)
 
         ranked: list[PartnerSet] = []
         seen_masks = set()
-        body = body.strip()
-        alternatives = body.split("|") if body else []
+        alternatives = body.split("|") if body.strip() else []
         for alt in alternatives:
             tokens = alt.split()
             if not tokens:
@@ -129,7 +133,7 @@ def parse_market(text: str) -> MarketInstance:
                 if token not in members:
                     raise ParseError(
                         f"unknown {member_side.value} name {token!r} in the pref line of {name!r}",
-                        lineno, column=raw.find(token) + 1)
+                        lineno, _column(alt, offset, token))
                 bit = 1 << members[token]
                 if mask & bit:
                     raise ParseError(
@@ -139,6 +143,7 @@ def parse_market(text: str) -> MarketInstance:
                 raise ParseError(f"duplicate alternative in the pref line of {name!r}", lineno)
             seen_masks.add(mask)
             ranked.append(PartnerSet(member_side, mask))
+            offset += len(alt) + 1
         relations[owner] = PreferenceRelation(owner=owner, ranked=tuple(ranked))
 
     for side, names in ((Side.FIRM, firm_names), (Side.WORKER, worker_names)):
@@ -179,12 +184,15 @@ def serialize_market(instance: MarketInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def firm_partners(mu: Matching, instance: MarketInstance) -> list[tuple[str, PartnerSet]]:
+    """Each firm's name with its workers under ``mu``, in firm index order."""
+    return [(name, PartnerSet(Side.WORKER, mu.row(f)))
+            for f, name in enumerate(instance.firm_names)]
+
+
 def render_matching(mu: Matching, instance: MarketInstance) -> str:
     """Two-row table: one column per firm, cells listing the firm's workers."""
-    cells = []
-    for f in range(len(instance.firm_names)):
-        partners = matched_set(mu, AgentId(Side.FIRM, f))
-        cells.append(format_partner_set(partners, instance))
+    cells = [format_partner_set(partners, instance) for _, partners in firm_partners(mu, instance)]
     widths = [max(len(h), len(c)) for h, c in zip(instance.firm_names, cells)]
     header = "  ".join(h.ljust(w) for h, w in zip(instance.firm_names, widths)).rstrip()
     row = "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
@@ -193,8 +201,5 @@ def render_matching(mu: Matching, instance: MarketInstance) -> str:
 
 def matching_to_dict(mu: Matching, instance: MarketInstance) -> dict[str, list[str]]:
     """JSON-friendly view: firm name -> worker names, [] for unmatched."""
-    out: dict[str, list[str]] = {}
-    for f, name in enumerate(instance.firm_names):
-        partners = matched_set(mu, AgentId(Side.FIRM, f))
-        out[name] = [instance.worker_names[w] for w in partners]
-    return out
+    return {name: [instance.worker_names[w] for w in partners]
+            for name, partners in firm_partners(mu, instance)}

@@ -26,12 +26,13 @@ from .core import (
     PreferenceRelation,
     Profile,
     UnsupportedSizeError,
+    bits,
     choice,
     matched_set,
     replace_preference,
 )
 from .solver import OrderVerdict, StableRule, apply_rule, compare_blair, compare_common, side_optimal
-from .stability import DEFAULT_MAX_EDGES, StableSet, enumerate_stable, is_stable
+from .stability import DEFAULT_MAX_EDGES, enumerate_stable, is_stable
 
 EXHAUSTIVE_OPPOSITE_CAP = 3
 
@@ -44,21 +45,24 @@ class AxiomFlags:
 
 @dataclass(frozen=True)
 class Misreport:
-    """A reported relation for one agent, tagged with the axioms it satisfies."""
+    """A reported relation for one agent."""
 
     agent: AgentId
     reported: PreferenceRelation
-    axiom_flags: AxiomFlags
+
+    @property
+    def axiom_flags(self) -> AxiomFlags:
+        """The axioms the reported relation satisfies, checked on demand."""
+        return AxiomFlags(
+            substitutable=check_substitutable(self.reported).holds,
+            lad=check_lad(self.reported).holds,
+        )
 
 
 def make_misreport(agent: AgentId, reported: PreferenceRelation) -> Misreport:
     if reported.owner != agent:
         raise ValueError(f"reported relation owned by {reported.owner}, not {agent}")
-    flags = AxiomFlags(
-        substitutable=check_substitutable(reported).holds,
-        lad=check_lad(reported).holds,
-    )
-    return Misreport(agent=agent, reported=reported, axiom_flags=flags)
+    return Misreport(agent=agent, reported=reported)
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,10 @@ class ManipulationOutcome:
     then None."""
 
     baseline: Matching
-    manipulated: Matching | None
-    verdict_common: OrderVerdict | None
-    verdict_blair: OrderVerdict | None
-    manipulated_stable_under_truth: bool | None
+    manipulated: Matching | None = None
+    verdict_common: OrderVerdict | None = None
+    verdict_blair: OrderVerdict | None = None
+    manipulated_stable_under_truth: bool | None = None
     failure: str | None = None
 
     @property
@@ -101,17 +105,16 @@ def restrict_preference(
 
 def candidate_set_H(
     a: AgentId, rule: StableRule, p: Profile, max_edges: int = DEFAULT_MAX_EDGES
-) -> StableSet:
+) -> tuple[Matching, ...]:
     """The stable matchings Blair-strictly better for ``a`` than the rule's
     output: the targets a restriction strategy can secure."""
     ss = enumerate_stable(p, max_edges)
-    if not len(ss):
+    if not ss:
         raise ValueError("stable set is empty")
     baseline = apply_rule(rule, p, max_edges)
-    members = tuple(
+    return tuple(
         mu for mu in ss if compare_blair(mu, baseline, a, p) is OrderVerdict.BETTER_STRICT
     )
-    return StableSet(members)
 
 
 def truncation_strategy(a: AgentId, mu: Matching, p: Profile) -> Misreport:
@@ -128,24 +131,18 @@ def evaluate_misreport(
     m: Misreport,
     rule: StableRule,
     p_true: Profile,
+    baseline: Matching,
     max_edges: int = DEFAULT_MAX_EDGES,
 ) -> ManipulationOutcome:
     """Apply the rule to the swapped profile and judge the result at ``a``
-    under the true relation, flagging whether the manipulated matching is
-    even stable under the truth (it need not be)."""
-    baseline = apply_rule(rule, p_true, max_edges)
+    under the true relation against ``baseline``, the rule's output on
+    ``p_true``; flag whether the manipulated matching is even stable under
+    the truth (it need not be)."""
     swapped = replace_preference(p_true, a, m.reported)
     try:
         manipulated = apply_rule(rule, swapped, max_edges)
     except (PreconditionError, NoStableMatchingError) as exc:
-        return ManipulationOutcome(
-            baseline=baseline,
-            manipulated=None,
-            verdict_common=None,
-            verdict_blair=None,
-            manipulated_stable_under_truth=None,
-            failure=str(exc),
-        )
+        return ManipulationOutcome(baseline=baseline, failure=str(exc))
     return ManipulationOutcome(
         baseline=baseline,
         manipulated=manipulated,
@@ -195,6 +192,18 @@ class GmtVerification:
         return all(c.all_hold for c in self.checks)
 
 
+def _truthful_standing(
+    a: AgentId, rule: StableRule, p: Profile, max_edges: int
+) -> tuple[Matching, Matching | None, bool]:
+    """The rule's truthful output, ``a``'s side-optimal stable matching (None
+    when no member dominates), and whether the construction applies: the
+    rule gives ``a`` something other than its side-optimal assignment."""
+    baseline = apply_rule(rule, p, max_edges)
+    optimum = side_optimal(enumerate_stable(p, max_edges), p, a.side)
+    applicable = optimum is None or matched_set(baseline, a) != matched_set(optimum, a)
+    return baseline, optimum, applicable
+
+
 def verify_gmt(
     a: AgentId,
     rule: StableRule,
@@ -220,25 +229,18 @@ def verify_gmt(
             if not check_lad(p[agent]).holds:
                 raise PreconditionError(f"{agent} fails the law of aggregate demand")
 
-    baseline = apply_rule(rule, p, max_edges)
-    ss = enumerate_stable(p, max_edges)
-    optimum = side_optimal(ss, p, a.side)
-
-    if optimum is not None and matched_set(baseline, a) == matched_set(optimum, a):
-        return GmtVerification(
-            agent=a, rule=rule, applicable=False, baseline=baseline,
-            side_optimum=optimum, checks=(),
-        )
-
-    if all_candidates or optimum is None:
-        targets = tuple(candidate_set_H(a, rule, p, max_edges))
+    baseline, optimum, applicable = _truthful_standing(a, rule, p, max_edges)
+    if not applicable:
+        targets = ()
+    elif all_candidates or optimum is None:
+        targets = candidate_set_H(a, rule, p, max_edges)
     else:
         targets = (optimum,)
 
     checks = []
     for target in targets:
         misreport = truncation_strategy(a, target, p)
-        outcome = evaluate_misreport(a, misreport, rule, p, max_edges)
+        outcome = evaluate_misreport(a, misreport, rule, p, baseline, max_edges)
         swapped = replace_preference(p, a, misreport.reported)
         rule_matches = (
             outcome.manipulated is not None
@@ -256,7 +258,7 @@ def verify_gmt(
             )
         )
     return GmtVerification(
-        agent=a, rule=rule, applicable=True, baseline=baseline,
+        agent=a, rule=rule, applicable=applicable, baseline=baseline,
         side_optimum=optimum, checks=tuple(checks),
     )
 
@@ -306,7 +308,7 @@ def _sublist_relations(pref: PreferenceRelation) -> list[PreferenceRelation]:
     entries = pref.ranked
     relations = []
     for keep in range(1 << len(entries)):
-        ranked = tuple(entries[i] for i in range(len(entries)) if keep >> i & 1)
+        ranked = tuple(entries[i] for i in bits(keep))
         relations.append(PreferenceRelation(owner=pref.owner, ranked=ranked))
     return relations
 
@@ -328,11 +330,8 @@ def gmt_counterexample_check(
     count as rule failures, never as profitable.
     """
     opposite_count = p.side_count(a.side.opposite)
-    baseline = apply_rule(rule, p, max_edges)
-    ss = enumerate_stable(p, max_edges)
-    optimum = side_optimal(ss, p, a.side)
-
-    if optimum is not None and matched_set(baseline, a) == matched_set(optimum, a):
+    baseline, _, applicable = _truthful_standing(a, rule, p, max_edges)
+    if not applicable:
         return CounterexampleReport(
             agent=a, rule=rule, mode="exhaustive" if exhaustive else "sublists",
             not_applicable=True, baseline=baseline, candidates_total=0,
@@ -362,7 +361,7 @@ def gmt_counterexample_check(
     profitable = []
     for reported in candidates:
         misreport = make_misreport(a, reported)
-        outcome = evaluate_misreport(a, misreport, rule, p, max_edges)
+        outcome = evaluate_misreport(a, misreport, rule, p, baseline, max_edges)
         if outcome.failure is not None:
             rule_failures += 1
             continue

@@ -19,15 +19,13 @@ from functools import lru_cache
 
 from .axioms import check_lad
 from .core import (
-    AgentId,
     MarketInstance,
     Matching,
     PartnerSet,
     PreferenceRelation,
     Side,
-    matched_set,
 )
-from .fileformat import format_partner_set, parse_market
+from .fileformat import firm_partners, format_partner_set, parse_market
 from .manipulation import (
     evaluate_misreport,
     gmt_counterexample_check,
@@ -98,11 +96,8 @@ BUNDLED = {
 
 def compact_matching(mu: Matching, instance: MarketInstance) -> str:
     """One-line rendering used for golden comparisons: 'f1=w2 w3, f2=w1, ...'."""
-    parts = []
-    for f, name in enumerate(instance.firm_names):
-        partners = matched_set(mu, AgentId(Side.FIRM, f))
-        parts.append(f"{name}={format_partner_set(partners, instance)}")
-    return ", ".join(parts)
+    return ", ".join(f"{name}={format_partner_set(partners, instance)}"
+                     for name, partners in firm_partners(mu, instance))
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,8 @@ def _demo_checks(max_edges: int) -> list[BundledCheck]:
 
     w1 = inst.agent_id("w1")
     only_f3 = PreferenceRelation(owner=w1, ranked=(PartnerSet.of(Side.FIRM, 2),))
-    outcome = evaluate_misreport(w1, make_misreport(w1, only_f3), StableRule.FIRM_OPTIMAL, p, max_edges)
+    outcome = evaluate_misreport(w1, make_misreport(w1, only_f3), StableRule.FIRM_OPTIMAL, p,
+                                 mu_f, max_edges)
     checks.append(BundledCheck(
         "manipulation-demo", "w1 reports only f3: manipulated matching",
         "f1=w3 w4, f2=w2, f3=w1", compact_matching(outcome.manipulated, inst)))
@@ -189,7 +185,8 @@ def _firms_immune_checks(max_edges: int) -> list[BundledCheck]:
     for name, (expected_mu, expected_verdict) in expected_outcomes.items():
         agent = inst.agent_id(name)
         misreport = truncation_strategy(agent, mu_f, p)
-        outcome = evaluate_misreport(agent, misreport, StableRule.WORKER_OPTIMAL, p, max_edges)
+        outcome = evaluate_misreport(agent, misreport, StableRule.WORKER_OPTIMAL, p,
+                                     mu_w, max_edges)
         checks.append(BundledCheck(
             "firms-immune", f"{name} truncates to its firm-optimal assignment: matching",
             expected_mu, compact_matching(outcome.manipulated, inst)))
@@ -240,8 +237,5 @@ def _workers_immune_checks(max_edges: int) -> list[BundledCheck]:
 def run_bundled_checks(max_edges: int = 25) -> list[BundledCheck]:
     """Recompute every recorded outcome of the bundled markets and diff it
     against the stored expectation."""
-    checks = []
-    checks.extend(_demo_checks(max_edges))
-    checks.extend(_firms_immune_checks(max_edges))
-    checks.extend(_workers_immune_checks(max_edges))
-    return checks
+    return (_demo_checks(max_edges) + _firms_immune_checks(max_edges)
+            + _workers_immune_checks(max_edges))

@@ -19,11 +19,13 @@ from .core import (
     PreconditionError,
     Profile,
     Side,
+    bits,
     choice,
     choice_mask,
     matched_set,
+    transpose,
 )
-from .stability import DEFAULT_MAX_EDGES, StableSet, enumerate_stable
+from .stability import DEFAULT_MAX_EDGES, enumerate_stable
 
 
 class StableRule(Enum):
@@ -60,41 +62,21 @@ def deferred_acceptance(p: Profile, proposing: Side) -> Matching:
     resp_full = (1 << n_resp) - 1
 
     rejected = [0] * n_prop
-    offers = [0] * n_prop
-    holds = [0] * n_resp
     while True:
         offers = [choice_mask(resp_full & ~rejected[i], prop_prefs[i]) for i in range(n_prop)]
-        offered_by = [0] * n_resp
-        for i in range(n_prop):
-            bits = offers[i]
-            while bits:
-                low = bits & -bits
-                offered_by[low.bit_length() - 1] |= 1 << i
-                bits ^= low
+        offered_by = transpose(offers, n_resp)
         holds = [choice_mask(offered_by[j], resp_prefs[j]) for j in range(n_resp)]
         new_rejection = False
         for j in range(n_resp):
-            refused = offered_by[j] & ~holds[j]
-            while refused:
-                low = refused & -refused
-                i = low.bit_length() - 1
+            for i in bits(offered_by[j] & ~holds[j]):
                 if not rejected[i] >> j & 1:
                     rejected[i] |= 1 << j
                     new_rejection = True
-                refused ^= low
         if not new_rejection:
             break
 
-    edges = []
-    for i in range(n_prop):
-        bits = offers[i]
-        while bits:
-            low = bits & -bits
-            j = low.bit_length() - 1
-            if holds[j] >> i & 1:
-                edges.append((i, j) if proposing is Side.FIRM else (j, i))
-            bits ^= low
-    return Matching.from_pairs(edges)
+    # Every held offer was made, so the holds are the matching's edges.
+    return Matching(tuple(holds) if proposing is Side.WORKER else tuple(transpose(holds, n_prop)))
 
 
 def compare_common(mu1: Matching, mu2: Matching, a: AgentId, p: Profile) -> OrderVerdict:
@@ -131,7 +113,7 @@ def compare_blair(mu1: Matching, mu2: Matching, a: AgentId, p: Profile) -> Order
     return OrderVerdict.INCOMPARABLE
 
 
-def side_optimal(ss: StableSet, p: Profile, side: Side) -> Matching | None:
+def side_optimal(ss: tuple[Matching, ...], p: Profile, side: Side) -> Matching | None:
     """The member every agent on ``side`` weakly prefers to every member, or
     None when no member dominates (possible off the substitutable domain)."""
     agents = [AgentId(side, i) for i in range(p.side_count(side))]
@@ -155,6 +137,6 @@ def apply_rule(rule: StableRule, p: Profile, max_edges: int = DEFAULT_MAX_EDGES)
     if rule is StableRule.WORKER_OPTIMAL:
         return deferred_acceptance(p, Side.WORKER)
     ss = enumerate_stable(p, max_edges)
-    if not len(ss):
+    if not ss:
         raise NoStableMatchingError("no stable matching exists under the reported profile")
-    return ss[0] if rule is StableRule.SELECT_FIRST else ss[len(ss) - 1]
+    return ss[0] if rule is StableRule.SELECT_FIRST else ss[-1]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -23,12 +23,15 @@ from .core import (
     Profile,
     Side,
     UnsupportedSizeError,
-    choice,
     choice_mask,
     matched_set,
+    transpose,
 )
 
 DEFAULT_MAX_EDGES = 25
+# Hard ceiling on n*m whatever --max-edges asks for: 2^30 masks is already
+# 32 times the default cap's scan.
+MAX_EDGES_CEILING = 30
 _CHUNK = 1 << 20
 
 
@@ -38,29 +41,17 @@ class BlockingPair:
     worker: AgentId
 
 
-@dataclass(frozen=True)
-class StableSet:
-    """All stable matchings of one profile, ordered by edge-mask encoding."""
-
-    matchings: tuple[Matching, ...]
-
-    def __iter__(self) -> Iterator[Matching]:
-        return iter(self.matchings)
-
-    def __len__(self) -> int:
-        return len(self.matchings)
-
-    def __getitem__(self, i: int) -> Matching:
-        return self.matchings[i]
-
-    def __contains__(self, mu: Matching) -> bool:
-        return mu in self.matchings
+def _views(mu: Matching, p: Profile) -> tuple[list[int], list[int]]:
+    """Firm rows and transposed worker columns of ``mu``, one mask per agent."""
+    return [mu.row(f) for f in range(p.num_firms)], transpose(mu.rows, p.num_workers)
 
 
 def is_individually_rational(mu: Matching, p: Profile) -> tuple[bool, tuple[AgentId, ...]]:
     """True when no agent would drop part of its own assignment."""
+    firm_views, worker_views = _views(mu, p)
     violators = tuple(
-        a for a in p.agents() if choice(matched_set(mu, a), p[a]) != matched_set(mu, a)
+        a for a, view in zip(p.agents(), firm_views + worker_views)
+        if choice_mask(view, p[a]) != view
     )
     return (not violators, violators)
 
@@ -68,8 +59,7 @@ def is_individually_rational(mu: Matching, p: Profile) -> tuple[bool, tuple[Agen
 def blocking_pairs(mu: Matching, p: Profile) -> tuple[BlockingPair, ...]:
     """All unmatched firm-worker pairs who each choose the other alongside
     their current partners, ordered by (firm, worker) index."""
-    firm_views = [matched_set(mu, AgentId(Side.FIRM, f)).mask for f in range(p.num_firms)]
-    worker_views = [matched_set(mu, AgentId(Side.WORKER, w)).mask for w in range(p.num_workers)]
+    firm_views, worker_views = _views(mu, p)
     found = []
     for f in range(p.num_firms):
         fpref = p.firm_prefs[f]
@@ -102,23 +92,15 @@ def _choice_table(pref: PreferenceRelation, opposite_count: int) -> np.ndarray:
     return table
 
 
-def _matching_from_mask(mask: int, num_workers: int) -> Matching:
-    edges = []
-    bit = 0
-    while mask >> bit:
-        if mask >> bit & 1:
-            edges.append((bit // num_workers, bit % num_workers))
-        bit += 1
-    return Matching.from_pairs(edges)
-
-
 @lru_cache(maxsize=1024)
-def _enumerate_cached(p: Profile, max_edges: int) -> StableSet:
+def _enumerate_cached(p: Profile, max_edges: int) -> tuple[Matching, ...]:
     n, m = p.num_firms, p.num_workers
     bits = n * m
-    if bits > max_edges:
+    if bits > min(max_edges, MAX_EDGES_CEILING):
+        limit = (f"the cap of {max_edges}" if max_edges <= MAX_EDGES_CEILING
+                 else f"the hard ceiling of {MAX_EDGES_CEILING}")
         raise UnsupportedSizeError(
-            f"enumeration scans 2^(n*m) edge sets; n*m = {bits} exceeds the cap of {max_edges}"
+            f"enumeration scans 2^(n*m) edge sets; n*m = {bits} exceeds {limit}"
         )
     firm_tables = [_choice_table(p.firm_prefs[f], m) for f in range(n)]
     worker_tables = [_choice_table(p.worker_prefs[w], n) for w in range(m)]
@@ -151,28 +133,33 @@ def _enumerate_cached(p: Profile, max_edges: int) -> StableSet:
 
         stable_masks.extend(int(x) for x in masks[ok])
 
-    return StableSet(tuple(_matching_from_mask(mask, m) for mask in stable_masks))
+    row_full = (1 << m) - 1
+    return tuple(
+        Matching(tuple(mask >> (f * m) & row_full for f in range(n))) for mask in stable_masks
+    )
 
 
-def enumerate_stable(p: Profile, max_edges: int = DEFAULT_MAX_EDGES) -> StableSet:
-    """Exactly the stable matchings of ``p``, canonically ordered.
+def enumerate_stable(p: Profile, max_edges: int = DEFAULT_MAX_EDGES) -> tuple[Matching, ...]:
+    """Exactly the stable matchings of ``p``, in ascending order of the edge
+    mask with bit f*m + w per edge.
 
-    Results are memoized per profile; callers share the immutable StableSet.
+    Results are memoized per profile; callers share the immutable tuple.
     """
     return _enumerate_cached(p, max_edges)
 
 
-def _agents_in(ss: StableSet) -> list[AgentId]:
+def _agents_in(ss: tuple[Matching, ...]) -> list[AgentId]:
+    """Agents matched in some member, firms first; the set must be nonempty."""
+    if not ss:
+        raise ValueError("stable set is empty")
     firms = sorted({f for mu in ss for (f, _) in mu.edges})
     workers = sorted({w for mu in ss for (_, w) in mu.edges})
     return [AgentId(Side.FIRM, f) for f in firms] + [AgentId(Side.WORKER, w) for w in workers]
 
 
-def check_same_partner_counts(ss: StableSet) -> tuple[bool, AgentId | None]:
+def check_same_partner_counts(ss: tuple[Matching, ...]) -> tuple[bool, AgentId | None]:
     """Is every agent matched with the same number of partners in every
     member?  (Agents appearing in no member trivially count zero throughout.)"""
-    if not ss.matchings:
-        raise ValueError("stable set is empty")
     for agent in _agents_in(ss):
         counts = {len(matched_set(mu, agent)) for mu in ss}
         if len(counts) > 1:
@@ -181,14 +168,11 @@ def check_same_partner_counts(ss: StableSet) -> tuple[bool, AgentId | None]:
 
 
 def check_underfilled_constancy(
-    ss: StableSet, quotas: Mapping[AgentId, int]
+    ss: tuple[Matching, ...], quotas: Mapping[AgentId, int]
 ) -> tuple[bool, AgentId | None]:
     """Does every agent that is under quota somewhere hold the same partner
     set everywhere?  Quotas must cover every agent appearing in the set."""
-    if not ss.matchings:
-        raise ValueError("stable set is empty")
-    appearing = _agents_in(ss)
-    for agent in appearing:
+    for agent in _agents_in(ss):
         if agent not in quotas:
             raise ValueError(f"no quota supplied for {agent}")
     ordered = sorted(quotas, key=lambda a: (a.side is Side.WORKER, a.index))
@@ -202,17 +186,3 @@ def check_underfilled_constancy(
 
 def clear_enumeration_cache() -> None:
     _enumerate_cached.cache_clear()
-
-
-__all__ = [
-    "BlockingPair",
-    "StableSet",
-    "DEFAULT_MAX_EDGES",
-    "is_individually_rational",
-    "blocking_pairs",
-    "is_stable",
-    "enumerate_stable",
-    "check_same_partner_counts",
-    "check_underfilled_constancy",
-    "clear_enumeration_cache",
-]

@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -102,6 +103,18 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", demo_file, "--max-edges", "5")
         assert code == 3
         assert "cap" in err
+
+    def test_max_edges_ceiling_exits_3_before_scanning(self, capsys, tmp_path):
+        names = [f"{side}{i}" for side in "fw" for i in range(1, 9)]
+        lines = ["firms: " + " ".join(names[:8]), "workers: " + " ".join(names[8:])]
+        lines += [f"pref {name}:" for name in names]
+        path = tmp_path / "eight.market"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        start = time.monotonic()
+        code, _, err = run(capsys, "enumerate", str(path), "--max-edges", "64")
+        assert time.monotonic() - start < 1.0
+        assert code == 3
+        assert "n*m = 64 exceeds the hard ceiling of 30" in err
 
 
 class TestValidate:

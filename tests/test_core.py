@@ -147,12 +147,18 @@ class TestMatching:
         assert matched_set(mu, AgentId(F, 0)) == PartnerSet.empty(W)
 
     def test_edge_mask_encoding(self):
+        # firm rows laid end to end give the edge mask, bit f*m + w per edge
         mu = Matching.from_pairs([(1, 0), (0, 2)])
-        assert mu.edge_mask(num_workers=3) == (1 << 3) | (1 << 2)
+        assert mu.rows == (1 << 2, 1 << 0)
+        assert sum(row << (f * 3) for f, row in enumerate(mu.rows)) == (1 << 3) | (1 << 2)
 
-    def test_from_views_wrong_side_rejected(self):
+    def test_trailing_empty_rows_dropped(self):
+        assert Matching((0b1, 0, 0)).rows == (0b1,)
+        assert Matching((0, 0)) == Matching.empty()
+
+    def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            Matching.from_views([(AgentId(F, 0), pset(F, 1))])
+            Matching.from_pairs([(-1, 0)])
 
 
 class TestMarketInstance:
@@ -209,10 +215,36 @@ def test_choice_is_idempotent(pref, mask):
 @given(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3))))
 def test_matching_view_round_trip(pairs):
     mu = Matching.from_pairs(pairs)
-    views = [(AgentId(F, f), matched_set(mu, AgentId(F, f))) for f in range(4)]
-    views += [(AgentId(W, w), matched_set(mu, AgentId(W, w))) for w in range(4)]
-    assert Matching.from_views(views) == mu
+    firm_views = [(f, w) for f in range(4) for w in matched_set(mu, AgentId(F, f))]
+    worker_views = [(f, w) for w in range(4) for f in matched_set(mu, AgentId(W, w))]
+    assert Matching.from_pairs(firm_views) == mu
+    assert Matching.from_pairs(worker_views) == mu
     # view symmetry: w in mu(f) iff f in mu(w)
     for f, w in pairs:
         assert w in matched_set(mu, AgentId(F, f))
         assert f in matched_set(mu, AgentId(W, w))
+
+
+edge_sets = st.sets(st.tuples(st.integers(0, 4), st.integers(0, 5)))
+
+
+@given(edge_sets)
+def test_matched_set_equals_edge_scan(pairs):
+    mu = Matching.from_pairs(pairs)
+    for f in range(6):
+        want = sum(1 << w for g, w in pairs if g == f)
+        assert matched_set(mu, AgentId(F, f)) == PartnerSet(W, want)
+    for w in range(7):
+        want = sum(1 << f for f, v in pairs if v == w)
+        assert matched_set(mu, AgentId(W, w)) == PartnerSet(F, want)
+
+
+@given(edge_sets, st.integers(0, 3))
+def test_from_pairs_keeps_the_edge_set(pairs, unmatched_firms):
+    mu = Matching.from_pairs(pairs)
+    assert mu.edges == frozenset(pairs)
+    # padding with unmatched firms names the same edge set, so the same matching
+    padded = Matching(mu.rows + (0,) * unmatched_firms)
+    assert padded == mu and hash(padded) == hash(mu)
+    # while an edge at a later firm is a different matching
+    assert Matching.from_pairs(pairs | {(5, 0)}) != mu

@@ -129,6 +129,19 @@ class TestParse:
         assert exc_info.value.line == 4
         assert exc_info.value.column == GOOD_DOC.splitlines()[3].replace("w3", "w9").find("w9") + 1
 
+    @pytest.mark.parametrize("doc, line, column", [
+        # the unknown member also occurs inside the owner's name
+        ("firms: fw\nworkers: x\npref fw: w\npref x: fw\n", 3, 10),
+        # the undeclared owner also occurs inside the keyword
+        ("firms: f1\nworkers: w1\npref re: f1\n", 3, 6),
+        # indented line, member after a separator
+        ("firms: f1\nworkers: w1 w2\n  pref f1: w2 |  w1 w9\n", 3, 21),
+    ])
+    def test_error_column_is_the_token_offset(self, doc, line, column):
+        with pytest.raises(ParseError) as exc_info:
+            parse_market(doc)
+        assert (exc_info.value.line, exc_info.value.column) == (line, column)
+
 
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self):

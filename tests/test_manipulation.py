@@ -17,6 +17,7 @@ from manymatch import (
     Side,
     StableRule,
     UnsupportedSizeError,
+    apply_rule,
     candidate_set_H,
     check_lad,
     check_substitutable,
@@ -156,7 +157,7 @@ class TestEvaluateMisreport:
         p = demo_market.profile
         w1 = AgentId(W, 0)
         m = make_misreport(w1, relation(w1, (2,)))
-        outcome = evaluate_misreport(w1, m, StableRule.FIRM_OPTIMAL, p)
+        outcome = evaluate_misreport(w1, m, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
         assert outcome.baseline == DEMO_MU_F
         assert outcome.manipulated == Matching.from_pairs([(0, 2), (0, 3), (1, 1), (2, 0)])
         assert outcome.verdict_common is OrderVerdict.BETTER_STRICT
@@ -169,7 +170,8 @@ class TestEvaluateMisreport:
     def test_truthful_report_changes_nothing(self, demo_market):
         p = demo_market.profile
         w1 = AgentId(W, 0)
-        outcome = evaluate_misreport(w1, make_misreport(w1, p[w1]), StableRule.FIRM_OPTIMAL, p)
+        truthful = make_misreport(w1, p[w1])
+        outcome = evaluate_misreport(w1, truthful, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
         assert outcome.manipulated == outcome.baseline
         assert outcome.verdict_common is OrderVerdict.EQUAL
         assert outcome.verdict_blair is OrderVerdict.EQUAL
@@ -178,7 +180,7 @@ class TestEvaluateMisreport:
         p = firms_immune_market.profile
         f1 = AgentId(F, 0)
         m = make_misreport(f1, relation(f1, (0, 1), (0,), (1,)))
-        outcome = evaluate_misreport(f1, m, StableRule.WORKER_OPTIMAL, p)
+        outcome = evaluate_misreport(f1, m, StableRule.WORKER_OPTIMAL, p, EX1_MU_W)
         assert outcome.manipulated == Matching.from_pairs([(1, 0), (1, 3), (2, 1), (2, 2)])
         assert matched_set(outcome.manipulated, f1) == PartnerSet.empty(W)
         assert outcome.verdict_common is OrderVerdict.WORSE_STRICT
@@ -189,7 +191,7 @@ class TestEvaluateMisreport:
         w1 = AgentId(W, 0)
         m = make_misreport(w1, relation(w1, (0, 2)))
         assert not m.axiom_flags.substitutable
-        outcome = evaluate_misreport(w1, m, StableRule.FIRM_OPTIMAL, p)
+        outcome = evaluate_misreport(w1, m, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
         assert outcome.failure is not None
         assert outcome.manipulated is None
         assert not outcome.profitable
@@ -203,7 +205,8 @@ class TestEvaluateMisreport:
         p_true = replace_preference(p_bad, f1, tame)
         assert len(enumerate_stable(p_true)) > 0
         m = make_misreport(f1, p_bad[f1])
-        outcome = evaluate_misreport(f1, m, StableRule.SELECT_FIRST, p_true)
+        baseline = apply_rule(StableRule.SELECT_FIRST, p_true)
+        outcome = evaluate_misreport(f1, m, StableRule.SELECT_FIRST, p_true, baseline)
         assert outcome.failure is not None
 
 
@@ -307,6 +310,24 @@ class TestCounterexampleSearch:
         report = gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, AgentId(W, 3))
         assert report.not_applicable
         assert report.candidates_total == 0
+
+    @pytest.mark.parametrize("rule", list(StableRule))
+    def test_truthful_rule_runs_once_per_search(self, monkeypatch, demo_market, rule):
+        import manymatch.manipulation as manipulation
+
+        p = demo_market.profile
+        profiles = []
+
+        def counting_apply_rule(r, q, *args):
+            profiles.append(q)
+            return apply_rule(r, q, *args)
+
+        monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
+        report = gmt_counterexample_check(p, rule, AgentId(W, 0))
+        # the truthful sublist is a candidate too, so count by identity
+        assert sum(q is p for q in profiles) == 1
+        # every other call is one candidate's report
+        assert len(profiles) == 1 + report.candidates_total
 
     def test_exhaustive_cap(self, firms_immune_market):
         p = firms_immune_market.profile

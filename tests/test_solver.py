@@ -15,7 +15,6 @@ from manymatch import (
     Profile,
     Side,
     StableRule,
-    StableSet,
     apply_rule,
     compare_blair,
     compare_common,
@@ -130,7 +129,7 @@ class TestCompareBlair:
 
 class TestSideOptimal:
     def test_singleton_stable_set(self, demo_market):
-        ss = StableSet((DEMO_MU_F,))
+        ss = (DEMO_MU_F,)
         assert side_optimal(ss, demo_market.profile, F) == DEMO_MU_F
         assert side_optimal(ss, demo_market.profile, W) == DEMO_MU_F
 
@@ -147,7 +146,7 @@ class TestSideOptimal:
     def test_absent_when_no_dominant_member(self, demo_market):
         # a hand-built "stable set" containing matchings no firm agrees on
         p = demo_market.profile
-        ss = StableSet((Matching.from_pairs([(0, 0)]), Matching.from_pairs([(0, 1)])))
+        ss = (Matching.from_pairs([(0, 0)]), Matching.from_pairs([(0, 1)]))
         assert side_optimal(ss, p, W) is None
 
 

@@ -18,7 +18,6 @@ from manymatch import (
     Profile,
     QuotaRanking,
     Side,
-    StableSet,
     UnsupportedSizeError,
     blocking_pairs,
     check_same_partner_counts,
@@ -117,7 +116,8 @@ class TestEnumerate:
     def test_canonical_order_and_uniqueness(self, firms_immune_market):
         p = firms_immune_market.profile
         ss = enumerate_stable(p)
-        masks = [mu.edge_mask(p.num_workers) for mu in ss]
+        # edge mask: bit f*m + w per edge, the enumerator's scan encoding
+        masks = [sum(1 << (f * p.num_workers + w) for f, w in mu.edges) for mu in ss]
         assert masks == sorted(masks)
         assert len(set(masks)) == len(masks)
 
@@ -206,8 +206,7 @@ def test_responsive_corpus_has_stable_matchings(responsive_corpus):
 
 class TestSamePartnerCounts:
     def test_singleton_set_trivially_constant(self, demo_market):
-        ss = StableSet((DEMO_MU_F,))
-        assert check_same_partner_counts(ss) == (True, None)
+        assert check_same_partner_counts((DEMO_MU_F,)) == (True, None)
 
     def test_demo_market_counts_constant(self, demo_market):
         ok, witness = check_same_partner_counts(enumerate_stable(demo_market.profile))
@@ -225,7 +224,7 @@ class TestSamePartnerCounts:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            check_same_partner_counts(StableSet(()))
+            check_same_partner_counts(())
 
     def test_responsive_corpus_counts_constant(self, responsive_corpus):
         for p, _, _ in responsive_corpus:
@@ -236,7 +235,7 @@ class TestSamePartnerCounts:
 class TestUnderfilledConstancy:
     def test_singleton_set_trivially_constant(self, demo_market):
         quotas = {a: 2 for a in demo_market.profile.agents()}
-        assert check_underfilled_constancy(StableSet((DEMO_MU_F,)), quotas) == (True, None)
+        assert check_underfilled_constancy((DEMO_MU_F,), quotas) == (True, None)
 
     def test_firms_immune_market_fails(self, firms_immune_market):
         p = firms_immune_market.profile
