@@ -261,6 +261,8 @@ class Matching:
 
     def __post_init__(self) -> None:
         rows = tuple(self.rows)
+        if any(row < 0 for row in rows):
+            raise ValueError(f"matching rows must be non-negative, got {rows}")
         while rows and not rows[-1]:
             rows = rows[:-1]
         object.__setattr__(self, "rows", rows)

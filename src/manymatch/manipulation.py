@@ -104,14 +104,13 @@ def restrict_preference(
 
 
 def candidate_set_H(
-    a: AgentId, rule: StableRule, p: Profile, max_edges: int = DEFAULT_MAX_EDGES
+    a: AgentId, baseline: Matching, p: Profile, max_edges: int = DEFAULT_MAX_EDGES
 ) -> tuple[Matching, ...]:
-    """The stable matchings Blair-strictly better for ``a`` than the rule's
-    output: the targets a restriction strategy can secure."""
+    """The stable matchings Blair-strictly better for ``a`` than ``baseline``,
+    the rule's output on ``p``: the targets a restriction strategy can secure."""
     ss = enumerate_stable(p, max_edges)
     if not ss:
         raise ValueError("stable set is empty")
-    baseline = apply_rule(rule, p, max_edges)
     return tuple(
         mu for mu in ss if compare_blair(mu, baseline, a, p) is OrderVerdict.BETTER_STRICT
     )
@@ -233,7 +232,7 @@ def verify_gmt(
     if not applicable:
         targets = ()
     elif all_candidates or optimum is None:
-        targets = candidate_set_H(a, rule, p, max_edges)
+        targets = candidate_set_H(a, baseline, p, max_edges)
     else:
         targets = (optimum,)
 

@@ -1,11 +1,12 @@
-"""Individual rationality, blocking pairs, stability, and the brute-force
+"""Individual rationality, blocking pairs, stability, and the exact
 stable-set enumerator that serves as the ground-truth oracle for everything
 the solver produces.
 
-The enumerator literally scans all 2^(n*m) edge sets.  The scan is vectorized
-with numpy (chunked, so memory stays bounded) but its semantics are exactly
-the definitional test applied to every edge subset; tests cross-check it
-against a plain-Python scan on small markets.
+The enumerator searches over the sets each agent keeps whole (its choice
+from the set is the set itself): in a stable matching every firm row and
+every worker column is such a set.  Firm rows are placed in firm order, and
+a branch is dropped only when no completion of it can be stable; tests
+cross-check the result against a plain-Python scan of all 2^(n*m) edge sets.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
-
-import numpy as np
 
 from .core import (
     AgentId,
@@ -29,10 +28,9 @@ from .core import (
 )
 
 DEFAULT_MAX_EDGES = 25
-# Hard ceiling on n*m whatever --max-edges asks for: 2^30 masks is already
-# 32 times the default cap's scan.
+# Hard ceiling on n*m whatever --max-edges asks for.  The search can still
+# visit up to 2^(n*m) assignments in the worst case, 2^30 of them here.
 MAX_EDGES_CEILING = 30
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,17 +77,17 @@ def is_stable(mu: Matching, p: Profile) -> bool:
     return ok and not blocking_pairs(mu, p)
 
 
-def _choice_table(pref: PreferenceRelation, opposite_count: int) -> np.ndarray:
-    """choice_mask for every subset of the opposite side, as a lookup array."""
-    size = 1 << opposite_count
-    subsets = np.arange(size, dtype=np.int64)
-    table = np.zeros(size, dtype=np.int64)
-    taken = np.zeros(size, dtype=bool)
-    for entry in pref.ranked:
-        hit = ~taken & ((subsets & entry.mask) == entry.mask)
-        table[hit] = entry.mask
-        taken |= hit
-    return table
+def _kept_whole(pref: PreferenceRelation, opposite_count: int) -> dict[int, int]:
+    """The sets ``pref`` keeps whole (the empty set and each listed S with
+    Ch(S) = S), each mapped to the k outside S with k in Ch(S + k)."""
+    kept = {}
+    for s in (0, *(entry.mask for entry in pref.ranked)):
+        if choice_mask(s, pref) == s:
+            kept[s] = sum(
+                1 << k for k in range(opposite_count)
+                if not s >> k & 1 and choice_mask(s | 1 << k, pref) >> k & 1
+            )
+    return kept
 
 
 @lru_cache(maxsize=1024)
@@ -100,43 +98,43 @@ def _enumerate_cached(p: Profile, max_edges: int) -> tuple[Matching, ...]:
         limit = (f"the cap of {max_edges}" if max_edges <= MAX_EDGES_CEILING
                  else f"the hard ceiling of {MAX_EDGES_CEILING}")
         raise UnsupportedSizeError(
-            f"enumeration scans 2^(n*m) edge sets; n*m = {bits} exceeds {limit}"
+            f"enumeration searches up to 2^(n*m) edge sets; n*m = {bits} exceeds {limit}"
         )
-    firm_tables = [_choice_table(p.firm_prefs[f], m) for f in range(n)]
-    worker_tables = [_choice_table(p.worker_prefs[w], n) for w in range(m)]
+    firm_sets = [tuple(_kept_whole(pref, m).items()) for pref in p.firm_prefs]
+    # floors[w][f] maps each prefix (firms 0..f) of w's kept-whole columns to
+    # the firms that w would add under every column with that prefix
+    floors = []
+    for pref in p.worker_prefs:
+        levels: list[dict[int, int]] = [{} for _ in range(n)]
+        for col, wants in _kept_whole(pref, n).items():
+            for f, level in enumerate(levels):
+                prefix = col & ((2 << f) - 1)
+                level[prefix] = level.get(prefix, wants) & wants
+        floors.append(levels)
 
-    stable_masks: list[int] = []
-    total = 1 << bits
-    for lo in range(0, total, _CHUNK):
-        masks = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        ok = np.ones(masks.shape, dtype=bool)
+    found: list[tuple[int, ...]] = []
 
-        firm_views = []
-        for f in range(n):
-            view = (masks >> (f * m)) & ((1 << m) - 1)
-            firm_views.append(view)
-            ok &= firm_tables[f][view] == view
-        worker_views = []
-        for w in range(m):
-            view = np.zeros(masks.shape, dtype=np.int64)
-            for f in range(n):
-                view |= ((masks >> (f * m + w)) & 1) << f
-            worker_views.append(view)
-            ok &= worker_tables[w][view] == view
-
-        for f in range(n):
+    def place(f: int, rows: tuple[int, ...], cols: list[int], asks: list[int]) -> None:
+        # cols[w]: w's column over firms < f; asks[w]: those firms that would add w
+        if f == n:
+            found.append(rows)
+            return
+        for row, wants in firm_sets[f]:
+            next_cols, next_asks = [], []
             for w in range(m):
-                no_edge = ((masks >> (f * m + w)) & 1) == 0
-                firm_wants = (firm_tables[f][firm_views[f] | (1 << w)] >> w) & 1
-                worker_wants = (worker_tables[w][worker_views[w] | (1 << f)] >> f) & 1
-                ok &= ~(no_edge & (firm_wants == 1) & (worker_wants == 1))
+                col = cols[w] | (row >> w & 1) << f
+                ask = asks[w] | (wants >> w & 1) << f
+                floor = floors[w][f].get(col)
+                if floor is None or floor & ask:
+                    break  # no completion keeps w's column whole and unblocked
+                next_cols.append(col)
+                next_asks.append(ask)
+            else:
+                place(f + 1, rows + (row,), next_cols, next_asks)
 
-        stable_masks.extend(int(x) for x in masks[ok])
-
-    row_full = (1 << m) - 1
-    return tuple(
-        Matching(tuple(mask >> (f * m) & row_full for f in range(n))) for mask in stable_masks
-    )
+    place(0, (), [0] * m, [0] * m)
+    found.sort(key=lambda rows: sum(row << f * m for f, row in enumerate(rows)))
+    return tuple(Matching(rows) for rows in found)
 
 
 def enumerate_stable(p: Profile, max_edges: int = DEFAULT_MAX_EDGES) -> tuple[Matching, ...]:

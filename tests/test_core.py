@@ -160,6 +160,13 @@ class TestMatching:
         with pytest.raises(ValueError):
             Matching.from_pairs([(-1, 0)])
 
+    def test_negative_row_rejected(self):
+        # a negative row has no finite edge set; bits() would never end on it
+        with pytest.raises(ValueError):
+            Matching((-1,))
+        with pytest.raises(ValueError):
+            Matching((0b1, -2))
+
 
 class TestMarketInstance:
     def test_name_lookup(self, demo_market):

@@ -113,15 +113,17 @@ class TestRestrictPreference:
 class TestCandidateSet:
     def test_own_side_optimal_rule_leaves_nothing_better(self, demo_market):
         p = demo_market.profile
-        assert len(candidate_set_H(AgentId(F, 0), StableRule.FIRM_OPTIMAL, p)) == 0
+        baseline = apply_rule(StableRule.FIRM_OPTIMAL, p)
+        assert len(candidate_set_H(AgentId(F, 0), baseline, p)) == 0
 
     def test_demo_firm_side_under_worker_optimal(self, demo_market):
-        H = candidate_set_H(AgentId(F, 0), StableRule.WORKER_OPTIMAL, demo_market.profile)
+        p = demo_market.profile
+        H = candidate_set_H(AgentId(F, 0), apply_rule(StableRule.WORKER_OPTIMAL, p), p)
         assert DEMO_MU_F in H
 
     def test_workers_immune_w1_under_firm_optimal(self, workers_immune_market):
         p = workers_immune_market.profile
-        H = candidate_set_H(AgentId(W, 0), StableRule.FIRM_OPTIMAL, p)
+        H = candidate_set_H(AgentId(W, 0), apply_rule(StableRule.FIRM_OPTIMAL, p), p)
         mu_w = Matching.from_pairs([(0, 2), (0, 3), (1, 0), (1, 1)])
         assert mu_w in H
 
@@ -328,6 +330,11 @@ class TestCounterexampleSearch:
         assert sum(q is p for q in profiles) == 1
         # every other call is one candidate's report
         assert len(profiles) == 1 + report.candidates_total
+
+        profiles.clear()
+        verification = verify_gmt(AgentId(W, 0), rule, p, all_candidates=True)
+        assert sum(q is p for q in profiles) == 1
+        assert len(profiles) == 1 + len(verification.checks)
 
     def test_exhaustive_cap(self, firms_immune_market):
         p = firms_immune_market.profile

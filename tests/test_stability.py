@@ -1,6 +1,10 @@
-"""Stability predicates and the brute-force enumerator."""
+"""Stability predicates and the stable-set enumerator."""
 
+import os
 import random
+import subprocess
+import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     brute_stable_matchings,
     random_profile,
+    random_relation,
     random_substitutable_profile,
     relation,
 )
@@ -132,15 +137,52 @@ class TestEnumerate:
             assert list(enumerate_stable(inst.profile)) == brute_stable_matchings(inst.profile)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(st.integers(0, 10_000))
 def test_enumerate_matches_plain_scan_on_random_profiles(seed):
     p = random_profile(random.Random(seed), max_side=3)
     assert list(enumerate_stable(p)) == brute_stable_matchings(p)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_enumerate_matches_plain_scan_on_long_lists(seed):
+    # arbitrary 3x4 lists of up to every nonempty subset, no axiom required
+    rng = random.Random(seed)
+    p = Profile(
+        tuple(random_relation(AgentId(F, i), 4, rng, max_entries=15) for i in range(3)),
+        tuple(random_relation(AgentId(W, j), 3, rng, max_entries=7) for j in range(4)),
+    )
+    assert list(enumerate_stable(p)) == brute_stable_matchings(p)
+
+
+def test_enumerate_matches_plain_scan_when_every_set_is_kept_whole():
+    # every agent lists all subsets, largest first, so every set is kept whole
+    def largest_first(owner, opposite):
+        sizes = range(opposite, 0, -1)
+        return relation(owner, *(c for k in sizes for c in combinations(range(opposite), k)))
+
+    p = Profile(
+        tuple(largest_first(AgentId(F, i), 4) for i in range(3)),
+        tuple(largest_first(AgentId(W, j), 3) for j in range(4)),
+    )
+    ss = enumerate_stable(p)
+    assert list(ss) == brute_stable_matchings(p)
+    assert ss == (Matching((0b1111,) * 3),)
+
+
+def test_import_does_not_load_numpy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, manymatch; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_enumerate_large_market_spans_multiple_chunks():
-    # 3x7 = 21 edge bits: the scan covers 2^21 masks in two chunks
+    # 3x7 = 21 edge bits, too many for the plain scan; deferred acceptance cross-checks
     rng = random.Random(5)
 
     def responsive(owner, opposite, quota):
@@ -158,20 +200,6 @@ def test_enumerate_large_market_spans_multiple_chunks():
         mu = deferred_acceptance(p, side)
         assert mu in ss
         assert mu == side_optimal(ss, p, side)
-
-
-def test_enumerate_chunked_scan_matches_single_pass(monkeypatch, demo_market):
-    # force the scan through many small chunks and confirm identical output
-    import manymatch.stability as stability
-
-    p = demo_market.profile
-    expected = list(enumerate_stable(p))
-    monkeypatch.setattr(stability, "_CHUNK", 64)
-    stability.clear_enumeration_cache()
-    try:
-        assert list(enumerate_stable(p)) == expected
-    finally:
-        stability.clear_enumeration_cache()
 
 
 @settings(max_examples=60, deadline=None)
