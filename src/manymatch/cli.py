@@ -36,7 +36,7 @@ from .manipulation import (
 )
 from .markets import run_bundled_checks
 from .solver import StableRule, apply_rule
-from .stability import DEFAULT_MAX_EDGES, MAX_EDGES_CEILING, enumerate_stable
+from .stability import enumerate_stable
 
 _RULES = {rule.value: rule for rule in StableRule}
 
@@ -45,9 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-    common.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES, metavar="N",
-                        help=f"cap on n*m for stable-set enumeration (default {DEFAULT_MAX_EDGES}, "
-                             f"at most {MAX_EDGES_CEILING})")
 
     parser = argparse.ArgumentParser(
         prog="manymatch",
@@ -94,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(path: str) -> MarketInstance:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
@@ -161,7 +158,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str], MarketInstance | None]:
 
 def _cmd_solve(args) -> tuple[int, dict, list[str], MarketInstance | None]:
     instance = _load(args.file)
-    mu = apply_rule(_RULES[args.rule], instance.profile, args.max_edges)
+    mu = apply_rule(_RULES[args.rule], instance.profile)
     payload = {"rule": args.rule, "matching": matching_to_dict(mu, instance)}
     lines = [f"rule: {args.rule}", render_matching(mu, instance)]
     return 0, payload, lines, instance
@@ -169,7 +166,7 @@ def _cmd_solve(args) -> tuple[int, dict, list[str], MarketInstance | None]:
 
 def _cmd_enumerate(args) -> tuple[int, dict, list[str], MarketInstance | None]:
     instance = _load(args.file)
-    ss = enumerate_stable(instance.profile, args.max_edges)
+    ss = enumerate_stable(instance.profile)
     payload = {
         "count": len(ss),
         "matchings": [matching_to_dict(mu, instance) for mu in ss],
@@ -218,10 +215,8 @@ def _cmd_manipulate(args) -> tuple[int, dict, list[str], MarketInstance | None]:
         agent = instance.agent_id(args.agent)
     except KeyError as exc:
         raise ParseError(str(exc.args[0])) from exc
-    report = gmt_counterexample_check(
-        instance.profile, _RULES[args.rule], agent,
-        exhaustive=args.exhaustive, max_edges=args.max_edges,
-    )
+    report = gmt_counterexample_check(instance.profile, _RULES[args.rule], agent,
+                                      exhaustive=args.exhaustive)
     payload = _counterexample_payload(report, instance)
     lines = [f"agent: {args.agent}   rule: {args.rule}   mode: {report.mode}"]
     if report.not_applicable:
@@ -299,7 +294,7 @@ def _cmd_verify_gmt(args) -> tuple[int, dict, list[str], MarketInstance | None]:
         except KeyError as exc:
             raise ParseError(str(exc.args[0])) from exc
 
-    verifications = [verify_gmt(a, rule, p, max_edges=args.max_edges) for a in agents]
+    verifications = [verify_gmt(a, rule, p) for a in agents]
     payload = {"rule": args.rule, "agents": [_gmt_payload(v, instance) for v in verifications]}
     lines: list[str] = []
     for v in verifications:
@@ -310,7 +305,7 @@ def _cmd_verify_gmt(args) -> tuple[int, dict, list[str], MarketInstance | None]:
 
 
 def _cmd_paper_examples(args) -> tuple[int, dict, list[str], MarketInstance | None]:
-    checks = run_bundled_checks(args.max_edges)
+    checks = run_bundled_checks()
     payload = {
         "checks": [
             {

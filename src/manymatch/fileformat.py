@@ -12,8 +12,8 @@ The format mirrors the list notation used throughout the package::
 Each agent gets exactly one ``pref`` line; alternatives are separated by
 ``|`` and members inside an alternative by whitespace.  The empty set is
 never written (an agent with no acceptable set gets an empty right-hand
-side), alternatives must be distinct, and at most 32 agents per side are
-allowed.
+side), alternatives must be distinct, names may not contain ``:`` or ``|``,
+and at most 32 agents per side are allowed.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ def _column(text: str, offset: int, token: str) -> int:
 
 def parse_market(text: str) -> MarketInstance:
     """Parse a market document into a validated MarketInstance."""
-    firm_names: list[str] | None = None
-    worker_names: list[str] | None = None
+    declared: dict[str, list[str]] = {}  # "firms" and "workers" -> names
     # (lineno, head, body, and the 0-based offsets of head and body in the raw line)
     pref_lines: list[tuple[int, str, int, str, int]] = []
 
@@ -64,14 +63,16 @@ def parse_market(text: str) -> MarketInstance:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("firms:"):
-            if firm_names is not None:
-                raise ParseError("duplicate 'firms:' line", lineno)
-            firm_names = line[len("firms:"):].split()
-        elif line.startswith("workers:"):
-            if worker_names is not None:
-                raise ParseError("duplicate 'workers:' line", lineno)
-            worker_names = line[len("workers:"):].split()
+        if line.startswith(("firms:", "workers:")):
+            label, _, body = line.partition(":")
+            if label in declared:
+                raise ParseError(f"duplicate '{label}:' line", lineno)
+            names = body.split()
+            for name in names:
+                if ":" in name or "|" in name:
+                    raise ParseError(f"agent name {name!r} may not contain ':' or '|'",
+                                     lineno, _column(body, raw.find(":") + 1, name))
+            declared[label] = names
         elif line.startswith("pref "):
             head, sep, body = line[len("pref "):].partition(":")
             if not sep:
@@ -83,10 +84,10 @@ def parse_market(text: str) -> MarketInstance:
         else:
             raise ParseError(f"unrecognized line {line.split()[0]!r}", lineno)
 
-    if firm_names is None:
-        raise ParseError("missing 'firms:' line")
-    if worker_names is None:
-        raise ParseError("missing 'workers:' line")
+    for label in ("firms", "workers"):
+        if label not in declared:
+            raise ParseError(f"missing '{label}:' line")
+    firm_names, worker_names = declared["firms"], declared["workers"]
     if len(firm_names) > MAX_SIDE or len(worker_names) > MAX_SIDE:
         raise ParseError(f"at most {MAX_SIDE} agents per side are supported")
     if not firm_names or not worker_names:

@@ -32,7 +32,7 @@ from .core import (
     replace_preference,
 )
 from .solver import OrderVerdict, StableRule, apply_rule, compare_blair, compare_common, side_optimal
-from .stability import DEFAULT_MAX_EDGES, enumerate_stable, is_stable
+from .stability import enumerate_stable, is_stable
 
 EXHAUSTIVE_OPPOSITE_CAP = 3
 
@@ -103,12 +103,10 @@ def restrict_preference(
     return PreferenceRelation(owner=pref.owner, ranked=kept)
 
 
-def candidate_set_H(
-    a: AgentId, baseline: Matching, p: Profile, max_edges: int = DEFAULT_MAX_EDGES
-) -> tuple[Matching, ...]:
+def candidate_set_H(a: AgentId, baseline: Matching, p: Profile) -> tuple[Matching, ...]:
     """The stable matchings Blair-strictly better for ``a`` than ``baseline``,
     the rule's output on ``p``: the targets a restriction strategy can secure."""
-    ss = enumerate_stable(p, max_edges)
+    ss = enumerate_stable(p)
     if not ss:
         raise ValueError("stable set is empty")
     return tuple(
@@ -126,12 +124,7 @@ def truncation_strategy(a: AgentId, mu: Matching, p: Profile) -> Misreport:
 
 
 def evaluate_misreport(
-    a: AgentId,
-    m: Misreport,
-    rule: StableRule,
-    p_true: Profile,
-    baseline: Matching,
-    max_edges: int = DEFAULT_MAX_EDGES,
+    a: AgentId, m: Misreport, rule: StableRule, p_true: Profile, baseline: Matching
 ) -> ManipulationOutcome:
     """Apply the rule to the swapped profile and judge the result at ``a``
     under the true relation against ``baseline``, the rule's output on
@@ -139,7 +132,7 @@ def evaluate_misreport(
     the truth (it need not be)."""
     swapped = replace_preference(p_true, a, m.reported)
     try:
-        manipulated = apply_rule(rule, swapped, max_edges)
+        manipulated = apply_rule(rule, swapped)
     except (PreconditionError, NoStableMatchingError) as exc:
         return ManipulationOutcome(baseline=baseline, failure=str(exc))
     return ManipulationOutcome(
@@ -192,13 +185,13 @@ class GmtVerification:
 
 
 def _truthful_standing(
-    a: AgentId, rule: StableRule, p: Profile, max_edges: int
+    a: AgentId, rule: StableRule, p: Profile
 ) -> tuple[Matching, Matching | None, bool]:
     """The rule's truthful output, ``a``'s side-optimal stable matching (None
     when no member dominates), and whether the construction applies: the
     rule gives ``a`` something other than its side-optimal assignment."""
-    baseline = apply_rule(rule, p, max_edges)
-    optimum = side_optimal(enumerate_stable(p, max_edges), p, a.side)
+    baseline = apply_rule(rule, p)
+    optimum = side_optimal(enumerate_stable(p), p, a.side)
     applicable = optimum is None or matched_set(baseline, a) != matched_set(optimum, a)
     return baseline, optimum, applicable
 
@@ -210,7 +203,6 @@ def verify_gmt(
     *,
     all_candidates: bool = False,
     require_axioms: bool = True,
-    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> GmtVerification:
     """Run the manipulability construction for one agent and record whether
     each of its four assertions holds.
@@ -228,18 +220,18 @@ def verify_gmt(
             if not check_lad(p[agent]).holds:
                 raise PreconditionError(f"{agent} fails the law of aggregate demand")
 
-    baseline, optimum, applicable = _truthful_standing(a, rule, p, max_edges)
+    baseline, optimum, applicable = _truthful_standing(a, rule, p)
     if not applicable:
         targets = ()
     elif all_candidates or optimum is None:
-        targets = candidate_set_H(a, baseline, p, max_edges)
+        targets = candidate_set_H(a, baseline, p)
     else:
         targets = (optimum,)
 
     checks = []
     for target in targets:
         misreport = truncation_strategy(a, target, p)
-        outcome = evaluate_misreport(a, misreport, rule, p, baseline, max_edges)
+        outcome = evaluate_misreport(a, misreport, rule, p, baseline)
         swapped = replace_preference(p, a, misreport.reported)
         rule_matches = (
             outcome.manipulated is not None
@@ -313,11 +305,7 @@ def _sublist_relations(pref: PreferenceRelation) -> list[PreferenceRelation]:
 
 
 def gmt_counterexample_check(
-    p: Profile,
-    rule: StableRule,
-    a: AgentId,
-    exhaustive: bool = False,
-    max_edges: int = DEFAULT_MAX_EDGES,
+    p: Profile, rule: StableRule, a: AgentId, exhaustive: bool = False
 ) -> CounterexampleReport:
     """Search ``a``'s misreports for one that strictly improves its outcome.
 
@@ -329,7 +317,12 @@ def gmt_counterexample_check(
     count as rule failures, never as profitable.
     """
     opposite_count = p.side_count(a.side.opposite)
-    baseline, _, applicable = _truthful_standing(a, rule, p, max_edges)
+    if exhaustive and opposite_count > EXHAUSTIVE_OPPOSITE_CAP:
+        raise UnsupportedSizeError(
+            f"exhaustive misreport search supports opposite sides of at most "
+            f"{EXHAUSTIVE_OPPOSITE_CAP} agents, got {opposite_count}"
+        )
+    baseline, _, applicable = _truthful_standing(a, rule, p)
     if not applicable:
         return CounterexampleReport(
             agent=a, rule=rule, mode="exhaustive" if exhaustive else "sublists",
@@ -339,11 +332,6 @@ def gmt_counterexample_check(
         )
 
     if exhaustive:
-        if opposite_count > EXHAUSTIVE_OPPOSITE_CAP:
-            raise UnsupportedSizeError(
-                f"exhaustive misreport search supports opposite sides of at most "
-                f"{EXHAUSTIVE_OPPOSITE_CAP} agents, got {opposite_count}"
-            )
         candidates = _all_relations(a, opposite_count)
         mode = "exhaustive"
         scope = "all strict preference lists over the opposite side"
@@ -360,7 +348,7 @@ def gmt_counterexample_check(
     profitable = []
     for reported in candidates:
         misreport = make_misreport(a, reported)
-        outcome = evaluate_misreport(a, misreport, rule, p, baseline, max_edges)
+        outcome = evaluate_misreport(a, misreport, rule, p, baseline)
         if outcome.failure is not None:
             rule_failures += 1
             continue

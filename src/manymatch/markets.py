@@ -112,24 +112,23 @@ class BundledCheck:
         return self.expected == self.actual
 
 
-def _demo_checks(max_edges: int) -> list[BundledCheck]:
+def _demo_checks() -> list[BundledCheck]:
     inst = manipulation_demo()
     p = inst.profile
     checks = []
 
-    mu_f = apply_rule(StableRule.FIRM_OPTIMAL, p, max_edges)
+    mu_f = apply_rule(StableRule.FIRM_OPTIMAL, p)
     checks.append(BundledCheck(
         "manipulation-demo", "firm-optimal matching",
         "f1=w2 w3, f2=w1, f3=w4", compact_matching(mu_f, inst)))
-    mu_w = apply_rule(StableRule.WORKER_OPTIMAL, p, max_edges)
+    mu_w = apply_rule(StableRule.WORKER_OPTIMAL, p)
     checks.append(BundledCheck(
         "manipulation-demo", "worker-optimal matching",
         "f1=w1 w3, f2=w2, f3=w4", compact_matching(mu_w, inst)))
 
     w1 = inst.agent_id("w1")
     only_f3 = PreferenceRelation(owner=w1, ranked=(PartnerSet.of(Side.FIRM, 2),))
-    outcome = evaluate_misreport(w1, make_misreport(w1, only_f3), StableRule.FIRM_OPTIMAL, p,
-                                 mu_f, max_edges)
+    outcome = evaluate_misreport(w1, make_misreport(w1, only_f3), StableRule.FIRM_OPTIMAL, p, mu_f)
     checks.append(BundledCheck(
         "manipulation-demo", "w1 reports only f3: manipulated matching",
         "f1=w3 w4, f2=w2, f3=w1", compact_matching(outcome.manipulated, inst)))
@@ -145,7 +144,7 @@ def _demo_checks(max_edges: int) -> list[BundledCheck]:
         "(f1, w1)",
         ", ".join(f"({inst.name_of(b.firm)}, {inst.name_of(b.worker)})" for b in pairs)))
 
-    verification = verify_gmt(w1, StableRule.FIRM_OPTIMAL, p, max_edges=max_edges)
+    verification = verify_gmt(w1, StableRule.FIRM_OPTIMAL, p)
     checks.append(BundledCheck(
         "manipulation-demo", "truncation construction for w1 under firm-optimal",
         "4 assertions hold",
@@ -154,16 +153,16 @@ def _demo_checks(max_edges: int) -> list[BundledCheck]:
     return checks
 
 
-def _firms_immune_checks(max_edges: int) -> list[BundledCheck]:
+def _firms_immune_checks() -> list[BundledCheck]:
     inst = firms_immune()
     p = inst.profile
     checks = []
 
-    mu_w = apply_rule(StableRule.WORKER_OPTIMAL, p, max_edges)
+    mu_w = apply_rule(StableRule.WORKER_OPTIMAL, p)
     checks.append(BundledCheck(
         "firms-immune", "worker-optimal matching",
         "f1=w3 w4, f2=w1 w2, f3=∅", compact_matching(mu_w, inst)))
-    mu_f = apply_rule(StableRule.FIRM_OPTIMAL, p, max_edges)
+    mu_f = apply_rule(StableRule.FIRM_OPTIMAL, p)
     checks.append(BundledCheck(
         "firms-immune", "firm-optimal matching",
         "f1=w1 w2, f2=w3, f3=w4", compact_matching(mu_f, inst)))
@@ -185,8 +184,7 @@ def _firms_immune_checks(max_edges: int) -> list[BundledCheck]:
     for name, (expected_mu, expected_verdict) in expected_outcomes.items():
         agent = inst.agent_id(name)
         misreport = truncation_strategy(agent, mu_f, p)
-        outcome = evaluate_misreport(agent, misreport, StableRule.WORKER_OPTIMAL, p,
-                                     mu_w, max_edges)
+        outcome = evaluate_misreport(agent, misreport, StableRule.WORKER_OPTIMAL, p, mu_w)
         checks.append(BundledCheck(
             "firms-immune", f"{name} truncates to its firm-optimal assignment: matching",
             expected_mu, compact_matching(outcome.manipulated, inst)))
@@ -196,29 +194,28 @@ def _firms_immune_checks(max_edges: int) -> list[BundledCheck]:
 
     for name in ("f1", "f2", "f3"):
         agent = inst.agent_id(name)
-        report = gmt_counterexample_check(p, StableRule.WORKER_OPTIMAL, agent,
-                                          exhaustive=False, max_edges=max_edges)
+        report = gmt_counterexample_check(p, StableRule.WORKER_OPTIMAL, agent, exhaustive=False)
         checks.append(BundledCheck(
             "firms-immune", f"sublist search for {name}: profitable misreports",
             "0", str(len(report.profitable))))
     return checks
 
 
-def _workers_immune_checks(max_edges: int) -> list[BundledCheck]:
+def _workers_immune_checks() -> list[BundledCheck]:
     inst = workers_immune()
     p = inst.profile
     checks = []
 
-    mu_f = apply_rule(StableRule.FIRM_OPTIMAL, p, max_edges)
+    mu_f = apply_rule(StableRule.FIRM_OPTIMAL, p)
     checks.append(BundledCheck(
         "workers-immune", "firm-optimal matching",
         "f1=w1 w2, f2=w3 w4", compact_matching(mu_f, inst)))
-    mu_w = apply_rule(StableRule.WORKER_OPTIMAL, p, max_edges)
+    mu_w = apply_rule(StableRule.WORKER_OPTIMAL, p)
     checks.append(BundledCheck(
         "workers-immune", "worker-optimal matching",
         "f1=w3 w4, f2=w1 w2", compact_matching(mu_w, inst)))
 
-    ss = enumerate_stable(p, max_edges)
+    ss = enumerate_stable(p)
     both_in = mu_f in ss and mu_w in ss
     checks.append(BundledCheck(
         "workers-immune", "stable set contains both side-optima",
@@ -226,16 +223,14 @@ def _workers_immune_checks(max_edges: int) -> list[BundledCheck]:
 
     for name in ("w1", "w2", "w3", "w4"):
         agent = inst.agent_id(name)
-        report = gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, agent,
-                                          exhaustive=True, max_edges=max_edges)
+        report = gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, agent, exhaustive=True)
         checks.append(BundledCheck(
             "workers-immune", f"exhaustive search for {name}: profitable misreports",
             "0", str(len(report.profitable))))
     return checks
 
 
-def run_bundled_checks(max_edges: int = 25) -> list[BundledCheck]:
+def run_bundled_checks() -> list[BundledCheck]:
     """Recompute every recorded outcome of the bundled markets and diff it
     against the stored expectation."""
-    return (_demo_checks(max_edges) + _firms_immune_checks(max_edges)
-            + _workers_immune_checks(max_edges))
+    return _demo_checks() + _firms_immune_checks() + _workers_immune_checks()

@@ -25,7 +25,7 @@ from .core import (
     matched_set,
     transpose,
 )
-from .stability import DEFAULT_MAX_EDGES, enumerate_stable
+from .stability import enumerate_stable
 
 
 class StableRule(Enum):
@@ -126,7 +126,7 @@ def side_optimal(ss: tuple[Matching, ...], p: Profile, side: Side) -> Matching |
     return None
 
 
-def apply_rule(rule: StableRule, p: Profile, max_edges: int = DEFAULT_MAX_EDGES) -> Matching:
+def apply_rule(rule: StableRule, p: Profile) -> Matching:
     """Apply a stable matching rule to a profile.
 
     The selector rules pick from the enumerated stable set in canonical order,
@@ -136,7 +136,7 @@ def apply_rule(rule: StableRule, p: Profile, max_edges: int = DEFAULT_MAX_EDGES)
         return deferred_acceptance(p, Side.FIRM)
     if rule is StableRule.WORKER_OPTIMAL:
         return deferred_acceptance(p, Side.WORKER)
-    ss = enumerate_stable(p, max_edges)
+    ss = enumerate_stable(p)
     if not ss:
         raise NoStableMatchingError("no stable matching exists under the reported profile")
     return ss[0] if rule is StableRule.SELECT_FIRST else ss[-1]

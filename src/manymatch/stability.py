@@ -7,6 +7,11 @@ from the set is the set itself): in a stable matching every firm row and
 every worker column is such a set.  Firm rows are placed in firm order, and
 a branch is dropped only when no completion of it can be stable; tests
 cross-check the result against a plain-Python scan of all 2^(n*m) edge sets.
+
+One fixed budget of ``SEARCH_BUDGET`` steps bounds each enumeration: the
+list entries the set-up may scan are charged before any work, row trials
+during the search.  A profile over it raises ``UnsupportedSizeError`` and is
+not cached.
 """
 
 from __future__ import annotations
@@ -27,10 +32,12 @@ from .core import (
     transpose,
 )
 
-DEFAULT_MAX_EDGES = 25
-# Hard ceiling on n*m whatever --max-edges asks for.  The search can still
-# visit up to 2^(n*m) assignments in the worst case, 2^30 of them here.
-MAX_EDGES_CEILING = 30
+# 2^26 steps take about 5 s of pure Python (a 16x16 quota-2 responsive
+# market runs out after that long), so a refusal comes within seconds.  Any
+# market with n*m <= 25 and lists of at most 255 sets charges under 2^21
+# steps before the search, so it is never refused there; whole enumerations
+# of such markets, random or listing every subset, measured under 2^22.
+SEARCH_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -91,15 +98,16 @@ def _kept_whole(pref: PreferenceRelation, opposite_count: int) -> dict[int, int]
 
 
 @lru_cache(maxsize=1024)
-def _enumerate_cached(p: Profile, max_edges: int) -> tuple[Matching, ...]:
+def _enumerate_cached(p: Profile) -> tuple[Matching, ...]:
     n, m = p.num_firms, p.num_workers
-    bits = n * m
-    if bits > min(max_edges, MAX_EDGES_CEILING):
-        limit = (f"the cap of {max_edges}" if max_edges <= MAX_EDGES_CEILING
-                 else f"the hard ceiling of {MAX_EDGES_CEILING}")
-        raise UnsupportedSizeError(
-            f"enumeration searches up to 2^(n*m) edge sets; n*m = {bits} exceeds {limit}"
-        )
+    # _kept_whole scans at most (len(ranked) + 1)^2 * (opposite + 1) entries
+    left = SEARCH_BUDGET - sum(
+        (len(pref.ranked) + 1) ** 2 * (opposite + 1)
+        for prefs, opposite in ((p.firm_prefs, m), (p.worker_prefs, n)) for pref in prefs
+    )
+    if left < 0:
+        raise UnsupportedSizeError(f"stable-set enumeration needs more than its budget "
+                                   f"of {SEARCH_BUDGET} steps before the search starts")
     firm_sets = [tuple(_kept_whole(pref, m).items()) for pref in p.firm_prefs]
     # floors[w][f] maps each prefix (firms 0..f) of w's kept-whole columns to
     # the firms that w would add under every column with that prefix
@@ -116,9 +124,14 @@ def _enumerate_cached(p: Profile, max_edges: int) -> tuple[Matching, ...]:
 
     def place(f: int, rows: tuple[int, ...], cols: list[int], asks: list[int]) -> None:
         # cols[w]: w's column over firms < f; asks[w]: those firms that would add w
+        nonlocal left
         if f == n:
             found.append(rows)
             return
+        left -= len(firm_sets[f]) * m  # the row trials this node may make
+        if left < 0:
+            raise UnsupportedSizeError(f"stable-set enumeration ran out of its budget "
+                                       f"of {SEARCH_BUDGET} steps during the search")
         for row, wants in firm_sets[f]:
             next_cols, next_asks = [], []
             for w in range(m):
@@ -137,13 +150,14 @@ def _enumerate_cached(p: Profile, max_edges: int) -> tuple[Matching, ...]:
     return tuple(Matching(rows) for rows in found)
 
 
-def enumerate_stable(p: Profile, max_edges: int = DEFAULT_MAX_EDGES) -> tuple[Matching, ...]:
+def enumerate_stable(p: Profile) -> tuple[Matching, ...]:
     """Exactly the stable matchings of ``p``, in ascending order of the edge
     mask with bit f*m + w per edge.
 
     Results are memoized per profile; callers share the immutable tuple.
+    Raises ``UnsupportedSizeError`` when the work exceeds ``SEARCH_BUDGET``.
     """
-    return _enumerate_cached(p, max_edges)
+    return _enumerate_cached(p)
 
 
 def _agents_in(ss: tuple[Matching, ...]) -> list[AgentId]:

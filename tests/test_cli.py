@@ -2,12 +2,14 @@
 
 import json
 import time
+from itertools import combinations
 
 import pytest
 
 from manymatch.cli import main
 from manymatch.fileformat import serialize_market
 from manymatch.markets import firms_immune, manipulation_demo, workers_immune
+from manymatch.stability import SEARCH_BUDGET
 
 DEMO_DOC = serialize_market(manipulation_demo())
 FIRMS_IMMUNE_DOC = serialize_market(firms_immune())
@@ -81,6 +83,13 @@ class TestSolve:
         assert code == 3
         assert "duplicate alternative" in err
 
+    def test_file_starting_with_a_byte_order_mark_solves(self, capsys, tmp_path):
+        path = tmp_path / "bom.market"
+        path.write_text("\ufeff" + DEMO_DOC, encoding="utf-8")
+        code, out, _ = run(capsys, "solve", str(path), "--rule", "firm-optimal")
+        assert code == 0
+        assert "w2 w3  w1  w4" in out
+
     def test_usage_error_exits_2(self, capsys, demo_file):
         with pytest.raises(SystemExit) as exc_info:
             main(["solve", demo_file, "--rule", "nonsense"])
@@ -99,22 +108,36 @@ class TestEnumerate:
         assert doc["results"]["count"] == 2
         assert len(doc["results"]["matchings"]) == 2
 
-    def test_max_edges_cap_exits_3(self, capsys, demo_file):
-        code, _, err = run(capsys, "enumerate", demo_file, "--max-edges", "5")
-        assert code == 3
-        assert "cap" in err
+    def test_max_edges_option_is_gone(self, capsys, demo_file):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["enumerate", demo_file, "--max-edges", "5"])
+        assert exc_info.value.code == 2
 
-    def test_max_edges_ceiling_exits_3_before_scanning(self, capsys, tmp_path):
+    def test_over_budget_market_exits_3_before_searching(self, capsys, tmp_path):
+        # 16 firms each list all 496 pairs of 32 workers: 16 * 497^2 * 33, about 2^27 steps
+        workers = [f"w{j}" for j in range(32)]
+        pairs = " | ".join(f"{a} {b}" for a, b in combinations(workers, 2))
+        lines = ["firms: " + " ".join(f"f{i}" for i in range(16)), "workers: " + " ".join(workers)]
+        lines += [f"pref f{i}: {pairs}" for i in range(16)]
+        lines += [f"pref {w}:" for w in workers]
+        path = tmp_path / "pairs.market"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        start = time.monotonic()
+        code, _, err = run(capsys, "enumerate", str(path))
+        assert time.monotonic() - start < 1.0
+        assert code == 3
+        assert f"budget of {SEARCH_BUDGET} steps before the search starts" in err
+
+    def test_eight_by_eight_all_empty_market_enumerates(self, capsys, tmp_path):
+        # n*m = 64, refused by the old 2^(n*m) size cap
         names = [f"{side}{i}" for side in "fw" for i in range(1, 9)]
         lines = ["firms: " + " ".join(names[:8]), "workers: " + " ".join(names[8:])]
         lines += [f"pref {name}:" for name in names]
         path = tmp_path / "eight.market"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        start = time.monotonic()
-        code, _, err = run(capsys, "enumerate", str(path), "--max-edges", "64")
-        assert time.monotonic() - start < 1.0
-        assert code == 3
-        assert "n*m = 64 exceeds the hard ceiling of 30" in err
+        code, out, _ = run(capsys, "enumerate", str(path))
+        assert code == 0
+        assert out.startswith("stable matchings: 1\n")
 
 
 class TestValidate:
@@ -182,6 +205,15 @@ class TestManipulate:
                            "--agent", "zz", "--rule", "firm-optimal")
         assert code == 3
         assert "unknown agent" in err
+
+    @pytest.mark.parametrize("rule", ["firm-optimal", "worker-optimal"])
+    def test_exhaustive_over_four_workers_exits_3_whether_or_not_applicable(
+            self, capsys, demo_file, rule):
+        # f1 is at its optimum under firm-optimal, not under worker-optimal
+        code, _, err = run(capsys, "manipulate", demo_file,
+                           "--agent", "f1", "--rule", rule, "--exhaustive")
+        assert code == 3
+        assert "at most 3 agents, got 4" in err
 
 
 class TestVerifyGmt:

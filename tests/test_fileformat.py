@@ -142,6 +142,18 @@ class TestParse:
             parse_market(doc)
         assert (exc_info.value.line, exc_info.value.column) == (line, column)
 
+    @pytest.mark.parametrize("doc, line, column, name", [
+        # would otherwise fail later as a pref line for undeclared agent 'a'
+        ("firms: a:b\nworkers: w\npref a:b: w\npref w: a:b\n", 1, 8, "a:b"),
+        # would otherwise be accepted but could never appear in a pref line
+        ("firms: f1\n  workers: w1 f|1\npref f1:\npref w1:\n", 2, 15, "f|1"),
+    ])
+    def test_declared_name_with_separator_rejected(self, doc, line, column, name):
+        with pytest.raises(ParseError, match="may not contain") as exc_info:
+            parse_market(doc)
+        assert (exc_info.value.line, exc_info.value.column) == (line, column)
+        assert repr(name) in str(exc_info.value)
+
 
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self):

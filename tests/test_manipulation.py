@@ -342,6 +342,18 @@ class TestCounterexampleSearch:
             gmt_counterexample_check(p, StableRule.WORKER_OPTIMAL, AgentId(F, 0),
                                      exhaustive=True)
 
+    @pytest.mark.parametrize("rule", list(StableRule))
+    def test_exhaustive_cap_checked_before_the_rule_runs(self, monkeypatch, demo_market, rule):
+        import manymatch.manipulation as manipulation
+
+        def no_apply_rule(*args):
+            raise AssertionError("the rule ran before the cap was checked")
+
+        monkeypatch.setattr(manipulation, "apply_rule", no_apply_rule)
+        # f1 faces 4 workers; it is at its optimum under firm-optimal
+        with pytest.raises(UnsupportedSizeError, match="at most 3 agents, got 4"):
+            gmt_counterexample_check(demo_market.profile, rule, AgentId(F, 0), exhaustive=True)
+
 
 # ---------------------------------------------------------------------------
 # properties

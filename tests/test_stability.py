@@ -34,7 +34,9 @@ from manymatch import (
     matched_set,
     responsive_preference,
     side_optimal,
+    stability,
 )
+from manymatch.stability import clear_enumeration_cache
 
 F = Side.FIRM
 W = Side.WORKER
@@ -126,9 +128,20 @@ class TestEnumerate:
         assert masks == sorted(masks)
         assert len(set(masks)) == len(masks)
 
-    def test_cap_exceeded(self, demo_market):
-        with pytest.raises(UnsupportedSizeError):
-            enumerate_stable(demo_market.profile, max_edges=11)
+    def test_budget_refusal_is_not_cached(self, monkeypatch, demo_market):
+        p = demo_market.profile
+        # the charge before the search: (len(list) + 1)^2 * (opposite + 1) per agent
+        setup = sum((len(p[a].ranked) + 1) ** 2 * (p.side_count(a.side.opposite) + 1)
+                    for a in p.agents())
+        clear_enumeration_cache()
+        monkeypatch.setattr(stability, "SEARCH_BUDGET", setup - 1)
+        with pytest.raises(UnsupportedSizeError, match=f"budget of {setup - 1} steps before"):
+            enumerate_stable(p)
+        monkeypatch.setattr(stability, "SEARCH_BUDGET", setup)
+        with pytest.raises(UnsupportedSizeError, match=f"budget of {setup} steps during"):
+            enumerate_stable(p)
+        monkeypatch.undo()
+        assert set(enumerate_stable(p)) == {DEMO_MU_F, DEMO_MU_W}
 
     def test_matches_plain_python_scan_on_bundled_markets(
         self, demo_market, firms_immune_market, workers_immune_market
@@ -168,6 +181,40 @@ def test_enumerate_matches_plain_scan_when_every_set_is_kept_whole():
     ss = enumerate_stable(p)
     assert list(ss) == brute_stable_matchings(p)
     assert ss == (Matching((0b1111,) * 3),)
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_cyclic_market_has_exactly_n_stable_matchings(n):
+    # firm i ranks workers i, i+1, ...; worker j ranks firms j+1, j+2, ... (mod n)
+    p = Profile(
+        tuple(relation(AgentId(F, i), *[((i + k) % n,) for k in range(n)]) for i in range(n)),
+        tuple(relation(AgentId(W, j), *[((j + 1 + k) % n,) for k in range(n)]) for j in range(n)),
+    )
+    assert len(enumerate_stable(p)) == n
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_enumerate_on_responsive_markets_beyond_the_plain_scan(seed):
+    # 6x6 to 8x8: every member is stable and both DA outputs are the side optima
+    rng = random.Random(seed)
+    n, m = rng.randint(6, 8), rng.randint(6, 8)
+
+    def responsive(owner, opposite):
+        ranking = tuple(rng.sample(range(opposite), opposite))
+        return responsive_preference(
+            QuotaRanking(owner=owner, individual_ranking=ranking, quota=rng.randint(1, 2)))
+
+    p = Profile(
+        tuple(responsive(AgentId(F, i), m) for i in range(n)),
+        tuple(responsive(AgentId(W, j), n) for j in range(m)),
+    )
+    ss = enumerate_stable(p)
+    assert all(is_stable(mu, p) for mu in ss)
+    for side in (F, W):
+        mu = deferred_acceptance(p, side)
+        assert mu in ss
+        assert mu == side_optimal(ss, p, side)
+    assert check_same_partner_counts(ss) == (True, None)
 
 
 def test_import_does_not_load_numpy():
