@@ -15,6 +15,7 @@ import random
 import time
 
 from manymatch import (
+    MAX_SIDE,
     AgentId,
     Profile,
     QuotaRanking,
@@ -52,6 +53,10 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--max-side", type=int, default=4)
     args = parser.parse_args()
+    if args.markets < 0:
+        parser.error(f"--markets must be at least 0, got {args.markets}")
+    if not 3 <= args.max_side <= MAX_SIDE:
+        parser.error(f"--max-side must be between 3 and {MAX_SIDE}, got {args.max_side}")
 
     rng = random.Random(args.seed)
     start = time.monotonic()

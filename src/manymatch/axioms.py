@@ -4,6 +4,16 @@ responsive-preference generator for building axiom-satisfying relations.
 Checkers are exhaustive over the members an agent actually lists (unlisted
 partners can never enter a choice set, so they cannot create or hide a
 violation) and report a replayable witness on failure.
+
+Each check first builds one choice table for the relation.  The k listed
+members are renumbered 0..k-1 in index order, which keeps the numeric order
+of sets, and a subset-minimum pass over all 2^k sets finds for every set S
+the first listed entry inside S, so every Ch(S) is one list lookup.  The
+scans then visit every offer S but remove only members of Ch(S): removing an
+unchosen member r never changes the choice, because the first entry inside
+S is still inside S - r and no earlier entry can fit inside the smaller set.
+Such a removal violates neither axiom, so each offer costs |Ch(S)| lookups.
+The table lives for one call; only the reports are cached.
 """
 
 from __future__ import annotations
@@ -19,11 +29,12 @@ from .core import (
     PreferenceRelation,
     UnsupportedSizeError,
     bits,
-    choice_mask,
 )
 
-# Exhaustive scans touch every subset of the listed members; 2^16 is the
-# largest space we are willing to walk per relation.
+# The choice table has one slot per subset of the listed members, so a check
+# takes O(2^k * k) steps and a few lists of 2^k ints.  At the cap, k = 16,
+# that is 65,536 sets and about 1.5 MiB at peak; the cap is checked before
+# anything is allocated.
 CHECK_CAP = 16
 
 
@@ -56,56 +67,85 @@ class AxiomReport:
     witness: AxiomWitness | None = None
 
 
-def _listed_universe(pref: PreferenceRelation) -> int:
-    mask = 0
+def _choice_table(pref: PreferenceRelation) -> tuple[int, list[int]]:
+    """The listed members as a mask, and ``choices[S]`` = Ch(S) for every
+    set S of them, both S and Ch(S) over the renumbered members."""
+    universe = 0
     for entry in pref.ranked:
-        mask |= entry.mask
-    return mask
-
-
-def _require_checkable(pref: PreferenceRelation) -> int:
-    universe = _listed_universe(pref)
-    if universe.bit_count() > CHECK_CAP:
+        universe |= entry.mask
+    count = universe.bit_count()
+    if count > CHECK_CAP:
         raise UnsupportedSizeError(
             f"axiom checks scan all subsets of the listed members; "
-            f"{pref.owner} lists {universe.bit_count()} > {CHECK_CAP}"
+            f"{pref.owner} lists {count} > {CHECK_CAP}"
         )
-    return universe
+    # best[S]: the rank of the first entry inside S (len(pref.ranked) if none).
+    # It starts as the rank of S itself; each pass folds the top index bit,
+    # best[S + top] = min(best[S + top], best[S]), then interleaves the two
+    # halves, which rotates the index bits left by one; after k passes every
+    # bit is folded and back in place.
+    best = [len(pref.ranked)] * (1 << count)
+    entries = []
+    for rank, entry in enumerate(pref.ranked):
+        rest = entry.mask
+        renumbered = 0
+        while rest:
+            member = rest & -rest
+            rest ^= member
+            renumbered |= 1 << (universe & (member - 1)).bit_count()
+        best[renumbered] = rank
+        entries.append(renumbered)
+    half = len(best) >> 1
+    for _ in range(count):
+        low = best[:half]
+        best[1::2] = [a if a < b else b for a, b in zip(best[half:], low)]
+        best[::2] = low
+    entries.append(0)
+    return universe, list(map(entries.__getitem__, best))
 
 
-def _descending_subsets(universe: int):
-    """All subsets of ``universe`` in descending numeric order, ending at 0."""
-    sub = universe
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & universe
-
-
-def _violation(axiom: Axiom, pref: PreferenceRelation, offer: int, reduced: int,
-               kept: int | None, removed: int) -> AxiomReport:
+def _violation(axiom: Axiom, pref: PreferenceRelation, universe: int, offer: int,
+               removed: int, kept: int | None = None) -> AxiomReport:
+    """The witness for the renumbered ``offer`` less its renumbered member
+    ``removed``, with the renumbered member ``kept`` if given."""
+    members = list(bits(universe))
+    offer_mask = 0
+    for index, member in enumerate(members):
+        offer_mask |= (offer >> index & 1) << member
     side = pref.owner.side.opposite
-    witness = AxiomWitness(pref.owner, PartnerSet(side, offer), PartnerSet(side, reduced),
-                           kept, removed)
+    witness = AxiomWitness(
+        pref.owner,
+        PartnerSet(side, offer_mask),
+        PartnerSet(side, offer_mask & ~(1 << members[removed])),
+        None if kept is None else members[kept],
+        members[removed],
+    )
     return AxiomReport(axiom, False, witness)
 
 
 @lru_cache(maxsize=4096)
 def check_substitutable(pref: PreferenceRelation) -> AxiomReport:
     """Does every chosen partner stay chosen when another partner leaves the
-    offer set?  Exhaustive over all offer sets drawn from the listed members."""
-    universe = _require_checkable(pref)
-    for offer in _descending_subsets(universe):
-        chosen = choice_mask(offer, pref)
-        if chosen.bit_count() == 0:
-            continue
-        for kept in bits(chosen):
-            for removed in bits(offer & ~(1 << kept)):
-                reduced = offer & ~(1 << removed)
-                if choice_mask(reduced, pref) >> kept & 1:
-                    continue
-                return _violation(Axiom.SUBSTITUTABILITY, pref, offer, reduced, kept, removed)
+    offer set?  Exhaustive over all offer sets drawn from the listed members.
+
+    The witness is the first violation with offers in descending numeric
+    order and, within one offer, (kept, removed) pairs ascending.
+    """
+    universe, choices = _choice_table(pref)
+    for offer in range(len(choices) - 1, 0, -1):
+        chosen = rest = choices[offer]
+        while rest:
+            member = rest & -rest
+            rest ^= member
+            if chosen & ~choices[offer ^ member] == member:
+                continue
+            # some chosen partner leaves with ``member``: report the least
+            # (kept, removed) pair of this offer
+            for kept in bits(chosen):
+                for removed in bits(chosen & ~(1 << kept)):
+                    if not choices[offer & ~(1 << removed)] >> kept & 1:
+                        return _violation(Axiom.SUBSTITUTABILITY, pref, universe, offer,
+                                          removed, kept)
     return AxiomReport(Axiom.SUBSTITUTABILITY, True)
 
 
@@ -116,17 +156,18 @@ def check_lad(pref: PreferenceRelation) -> AxiomReport:
     Scans every offer set and every single-member removal; a violation by an
     arbitrary subset pair implies a single-removal violation along the chain
     between the two sets, so this scan is complete (tests confirm against an
-    all-pairs oracle).
+    all-pairs oracle).  The witness is the first violation with offers in
+    descending numeric order and removals ascending.
     """
-    universe = _require_checkable(pref)
-    for offer in _descending_subsets(universe):
-        if offer == 0:
-            break
-        count = choice_mask(offer, pref).bit_count()
-        for removed in bits(offer):
-            reduced = offer & ~(1 << removed)
-            if choice_mask(reduced, pref).bit_count() > count:
-                return _violation(Axiom.LAD, pref, offer, reduced, None, removed)
+    universe, choices = _choice_table(pref)
+    for offer in range(len(choices) - 1, 0, -1):
+        chosen = rest = choices[offer]
+        count = chosen.bit_count()
+        while rest:
+            member = rest & -rest
+            rest ^= member
+            if choices[offer ^ member].bit_count() > count:
+                return _violation(Axiom.LAD, pref, universe, offer, member.bit_length() - 1)
     return AxiomReport(Axiom.LAD, True)
 
 

@@ -18,6 +18,7 @@ from .axioms import Axiom, AxiomReport, check_lad, check_substitutable
 from .core import (
     MarketInstance,
     MatchingError,
+    PreconditionError,
     matched_set,
 )
 from .fileformat import (
@@ -129,8 +130,7 @@ def _witness_text(report: AxiomReport, instance: MarketInstance) -> str:
             f"Y chooses strictly more partners than X")
 
 
-def _cmd_validate(args) -> tuple[int, dict, list[str], MarketInstance | None]:
-    instance = _load(args.file)
+def _cmd_validate(args, instance: MarketInstance) -> tuple[int, dict, list[str]]:
     p = instance.profile
     checkers = []
     if args.axiom in ("substitutable", "all"):
@@ -153,19 +153,17 @@ def _cmd_validate(args) -> tuple[int, dict, list[str], MarketInstance | None]:
                 lines.append(f"{name} {label}: VIOLATED  {_witness_text(report, instance)}")
     lines.append("all axioms hold" if all_hold else "violations found")
     code = 1 if (args.strict and not all_hold) else 0
-    return code, {"axiom_reports": reports, "all_hold": all_hold}, lines, instance
+    return code, {"axiom_reports": reports, "all_hold": all_hold}, lines
 
 
-def _cmd_solve(args) -> tuple[int, dict, list[str], MarketInstance | None]:
-    instance = _load(args.file)
+def _cmd_solve(args, instance: MarketInstance) -> tuple[int, dict, list[str]]:
     mu = apply_rule(_RULES[args.rule], instance.profile)
     payload = {"rule": args.rule, "matching": matching_to_dict(mu, instance)}
     lines = [f"rule: {args.rule}", render_matching(mu, instance)]
-    return 0, payload, lines, instance
+    return 0, payload, lines
 
 
-def _cmd_enumerate(args) -> tuple[int, dict, list[str], MarketInstance | None]:
-    instance = _load(args.file)
+def _cmd_enumerate(args, instance: MarketInstance) -> tuple[int, dict, list[str]]:
     ss = enumerate_stable(instance.profile)
     payload = {
         "count": len(ss),
@@ -175,7 +173,7 @@ def _cmd_enumerate(args) -> tuple[int, dict, list[str], MarketInstance | None]:
     for i, mu in enumerate(ss, 1):
         lines.append(f"[{i}]")
         lines.append(render_matching(mu, instance))
-    return 0, payload, lines, instance
+    return 0, payload, lines
 
 
 def _relation_names(relation, instance) -> list[list[str]]:
@@ -209,8 +207,7 @@ def _counterexample_payload(report: CounterexampleReport, instance: MarketInstan
     }
 
 
-def _cmd_manipulate(args) -> tuple[int, dict, list[str], MarketInstance | None]:
-    instance = _load(args.file)
+def _cmd_manipulate(args, instance: MarketInstance) -> tuple[int, dict, list[str]]:
     try:
         agent = instance.agent_id(args.agent)
     except KeyError as exc:
@@ -235,7 +232,7 @@ def _cmd_manipulate(args) -> tuple[int, dict, list[str], MarketInstance | None]:
                 f"blair={finding.outcome.verdict_blair.value} "
                 f"stable-under-truth={'yes' if finding.outcome.manipulated_stable_under_truth else 'no'}")
         lines.append(f"scope: {report.search_scope}")
-    return 0, payload, lines, instance
+    return 0, payload, lines
 
 
 _ASSERTION_LABELS = (
@@ -282,8 +279,7 @@ def _gmt_text(v: GmtVerification, instance: MarketInstance) -> list[str]:
     return lines
 
 
-def _cmd_verify_gmt(args) -> tuple[int, dict, list[str], MarketInstance | None]:
-    instance = _load(args.file)
+def _cmd_verify_gmt(args, instance: MarketInstance) -> tuple[int, dict, list[str]]:
     p = instance.profile
     rule = _RULES[args.rule]
     if args.all_agents:
@@ -301,10 +297,10 @@ def _cmd_verify_gmt(args) -> tuple[int, dict, list[str], MarketInstance | None]:
         lines.extend(_gmt_text(v, instance))
     failed = any(v.applicable and not v.all_hold for v in verifications)
     lines.append("all assertions hold" if not failed else "ASSERTION FAILURES FOUND")
-    return (1 if failed else 0), payload, lines, instance
+    return (1 if failed else 0), payload, lines
 
 
-def _cmd_paper_examples(args) -> tuple[int, dict, list[str], MarketInstance | None]:
+def _cmd_paper_examples(args, instance: None) -> tuple[int, dict, list[str]]:
     checks = run_bundled_checks()
     payload = {
         "checks": [
@@ -328,7 +324,7 @@ def _cmd_paper_examples(args) -> tuple[int, dict, list[str], MarketInstance | No
             lines.append(f"       actual:   {c.actual}")
     ok = all(c.passed for c in checks)
     lines.append(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
-    return (0 if ok else 1), payload, lines, None
+    return (0 if ok else 1), payload, lines
 
 
 _HANDLERS = {
@@ -344,10 +340,16 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    instance = None
     try:
-        code, payload, lines, instance = _HANDLERS[args.command](args)
+        if args.command != "paper-examples":
+            instance = _load(args.file)
+        code, payload, lines = _HANDLERS[args.command](args, instance)
     except (MatchingError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, PreconditionError) and instance is not None:
+            message = exc.naming(instance.name_of(exc.agent))
+        print(f"error: {message}", file=sys.stderr)
         return 3
 
     if args.format == "json":

@@ -46,7 +46,19 @@ class UnsupportedSizeError(MatchingError):
 
 
 class PreconditionError(MatchingError):
-    """An operation's stated precondition does not hold for the input."""
+    """An operation's stated precondition does not hold for ``agent``.
+
+    ``template`` names the agent as ``{agent}``; the message fills in its
+    side and index, and ``naming`` fills in a name the caller knows it by.
+    """
+
+    def __init__(self, template: str, agent: AgentId) -> None:
+        self.template = template
+        self.agent = agent
+        super().__init__(self.naming(str(agent)))
+
+    def naming(self, name: str) -> str:
+        return self.template.format(agent=name)
 
 
 class NoStableMatchingError(MatchingError):

@@ -35,6 +35,9 @@ from .solver import OrderVerdict, StableRule, apply_rule, compare_blair, compare
 from .stability import enumerate_stable, is_stable
 
 EXHAUSTIVE_OPPOSITE_CAP = 3
+# The sublist search evaluates all 2^len(list) sublists of the true list;
+# 2^14 = 16,384 is the scale of the 13,700 lists the exhaustive cap allows.
+SUBLIST_ENTRY_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ def restrict_preference(
         raise ValueError("restriction target drawn from the wrong side")
     if p_check and choice(t, pref) != t:
         raise PreconditionError(
-            f"restriction target is not a choice fixed point for {pref.owner}"
+            "restriction target is not a choice fixed point for {agent}", pref.owner
         )
     kept = tuple(entry for entry in pref.ranked if entry.issubset(t))
     return PreferenceRelation(owner=pref.owner, ranked=kept)
@@ -118,7 +121,7 @@ def truncation_strategy(a: AgentId, mu: Matching, p: Profile) -> Misreport:
     """The misreport that keeps only sets inside the agent's assignment under
     the (stable) target matching ``mu``."""
     if not is_stable(mu, p):
-        raise PreconditionError(f"truncation target is not stable for {a}")
+        raise PreconditionError("truncation target is not stable for {agent}", a)
     reported = restrict_preference(p[a], matched_set(mu, a), p_check=True)
     return make_misreport(a, reported)
 
@@ -216,9 +219,9 @@ def verify_gmt(
     if require_axioms:
         for agent in p.agents():
             if not check_substitutable(p[agent]).holds:
-                raise PreconditionError(f"{agent} fails substitutability")
+                raise PreconditionError("{agent} fails substitutability", agent)
             if not check_lad(p[agent]).holds:
-                raise PreconditionError(f"{agent} fails the law of aggregate demand")
+                raise PreconditionError("{agent} fails the law of aggregate demand", agent)
 
     baseline, optimum, applicable = _truthful_standing(a, rule, p)
     if not applicable:
@@ -311,7 +314,8 @@ def gmt_counterexample_check(
 
     Exhaustive mode enumerates every strict preference list over the opposite
     side (only feasible for opposite sides of at most three agents); otherwise
-    the search covers the sublists of the true list, and the report says so.
+    the search covers the sublists of the true list (at most 14 entries long),
+    and the report says so.  Both caps are checked before any work.
     Candidates the rule cannot process (a no-longer-substitutable report fed
     to deferred acceptance, or a reported profile with no stable matching)
     count as rule failures, never as profitable.
@@ -321,6 +325,11 @@ def gmt_counterexample_check(
         raise UnsupportedSizeError(
             f"exhaustive misreport search supports opposite sides of at most "
             f"{EXHAUSTIVE_OPPOSITE_CAP} agents, got {opposite_count}"
+        )
+    if not exhaustive and len(p[a].ranked) > SUBLIST_ENTRY_CAP:
+        raise UnsupportedSizeError(
+            f"sublist misreport search supports true lists of at most "
+            f"{SUBLIST_ENTRY_CAP} entries, got {len(p[a].ranked)}"
         )
     baseline, _, applicable = _truthful_standing(a, rule, p)
     if not applicable:

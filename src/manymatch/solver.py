@@ -52,7 +52,8 @@ def deferred_acceptance(p: Profile, proposing: Side) -> Matching:
     """
     for a in p.agents():
         if not check_substitutable(p[a]).holds:
-            raise PreconditionError(f"deferred acceptance requires substitutability; {a} fails it")
+            raise PreconditionError(
+                "deferred acceptance requires substitutability; {agent} fails it", a)
 
     if proposing is Side.FIRM:
         prop_prefs, resp_prefs = p.firm_prefs, p.worker_prefs

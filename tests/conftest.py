@@ -2,8 +2,9 @@
 
 The oracles here stay deliberately independent of the package's fast paths:
 stability is re-derived from the definitions via a plain-Python scan, the law
-of aggregate demand via an all-subset-pairs check, and responsiveness via the
-pairwise swap/add conditions.
+of aggregate demand via an all-subset-pairs check, both axioms' first
+witnesses via nested scans of every offer and removal, and responsiveness via
+the pairwise swap/add conditions.
 """
 
 from __future__ import annotations
@@ -74,6 +75,47 @@ def all_pairs_lad_holds(pref: PreferenceRelation) -> bool:
             if choice_mask(y, pref).bit_count() > cx:
                 return False
     return True
+
+
+def _members(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def first_substitutability_violation(pref: PreferenceRelation):
+    """Substitutability by definition: every offer in descending numeric
+    order, every kept member of its choice and every other removed member,
+    both ascending.  Returns the first (offer, reduced, kept, removed) whose
+    reduced offer no longer chooses ``kept``, or None when the axiom holds."""
+    universe = 0
+    for entry in pref.ranked:
+        universe |= entry.mask
+    for offer in subsets_of(universe):
+        chosen = choice_mask(offer, pref)
+        for kept in _members(chosen):
+            for removed in _members(offer):
+                if removed == kept:
+                    continue
+                reduced = offer & ~(1 << removed)
+                if not choice_mask(reduced, pref) >> kept & 1:
+                    return offer, reduced, kept, removed
+    return None
+
+
+def first_lad_violation(pref: PreferenceRelation):
+    """The law of aggregate demand over single removals: every offer in
+    descending numeric order and every removed member ascending.  Returns the
+    first (offer, reduced, None, removed) whose reduced offer chooses more
+    partners, or None when the axiom holds."""
+    universe = 0
+    for entry in pref.ranked:
+        universe |= entry.mask
+    for offer in subsets_of(universe):
+        count = choice_mask(offer, pref).bit_count()
+        for removed in _members(offer):
+            reduced = offer & ~(1 << removed)
+            if choice_mask(reduced, pref).bit_count() > count:
+                return offer, reduced, None, removed
+    return None
 
 
 def responsive_oracle(pref: PreferenceRelation, q: QuotaRanking) -> bool:

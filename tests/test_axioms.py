@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_pairs_lad_holds,
+    first_lad_violation,
+    first_substitutability_violation,
     pset,
     random_quota_ranking,
     relation,
@@ -100,6 +102,17 @@ class TestLad:
         with pytest.raises(UnsupportedSizeError):
             check_substitutable(big)
 
+    def test_sixteen_members_at_the_cap_are_checked(self):
+        at_cap = responsive_preference(
+            QuotaRanking(AgentId(F, 0), tuple(range(15, -1, -1)), 2))
+        assert len(at_cap.ranked) == 136
+        assert check_substitutable(at_cap).holds
+        assert check_lad(at_cap).holds
+        whole = relation(AgentId(F, 0), tuple(range(16)), (3,))
+        report = check_substitutable(whole)
+        assert (report.witness.offer_set, report.witness.kept, report.witness.removed) == (
+            PartnerSet(W, (1 << 16) - 1), 0, 1)
+
 
 class TestResponsiveGenerator:
     def test_quota_one_equals_individual_ranking(self):
@@ -135,11 +148,54 @@ class TestResponsiveGenerator:
 
 
 @st.composite
-def arbitrary_relations(draw, max_opposite=4):
+def arbitrary_relations(draw, max_opposite=4, max_entries=8):
     opposite = draw(st.integers(1, max_opposite))
     pool = [PartnerSet(W, mask) for mask in range(1, 1 << opposite)]
-    entries = draw(st.lists(st.sampled_from(pool), unique_by=lambda s: s.mask, max_size=8))
+    entries = draw(st.lists(st.sampled_from(pool), unique_by=lambda s: s.mask,
+                            max_size=max_entries))
     return PreferenceRelation(owner=AgentId(F, 0), ranked=tuple(entries))
+
+
+def found(report):
+    """A report in the oracles' form: None, or (offer, reduced, kept, removed)."""
+    if report.holds:
+        assert report.witness is None
+        return None
+    w = report.witness
+    return w.offer_set.mask, w.reduced_set.mask, w.kept, w.removed
+
+
+def assert_checkers_match_oracles(pref):
+    assert found(check_substitutable(pref)) == first_substitutability_violation(pref)
+    assert found(check_lad(pref)) == first_lad_violation(pref)
+
+
+@settings(max_examples=500)
+@given(arbitrary_relations(max_opposite=5, max_entries=12))
+def test_checkers_find_the_oracles_first_witness(pref):
+    assert_checkers_match_oracles(pref)
+
+
+def test_checkers_find_the_oracles_first_witness_on_responsive_relations():
+    # rankings of up to 9 members, drawn from up to 12 partners
+    rng = random.Random(20261018)
+    for members in range(10):
+        for _ in range(10):
+            opposite = rng.randint(max(members, 1), 12)
+            ranking = tuple(rng.sample(range(opposite), members))
+            q = QuotaRanking(AgentId(W, 0), ranking, rng.randint(1, 4))
+            assert_checkers_match_oracles(responsive_preference(q))
+
+
+def test_checkers_find_the_oracles_first_witness_on_sparse_members():
+    # listed members spread over a 32-agent side, so renumbering matters
+    rng = random.Random(7)
+    for _ in range(200):
+        members = sorted(rng.sample(range(32), rng.randint(1, 5)))
+        masks = [sum(1 << members[i] for i in range(len(members)) if sub >> i & 1)
+                 for sub in range(1, 1 << len(members))]
+        ranked = tuple(PartnerSet(W, m) for m in rng.sample(masks, min(len(masks), 10)))
+        assert_checkers_match_oracles(PreferenceRelation(AgentId(F, 0), ranked))
 
 
 @given(arbitrary_relations())

@@ -6,6 +6,14 @@ from itertools import combinations
 
 import pytest
 
+from manymatch import (
+    AgentId,
+    MarketInstance,
+    Profile,
+    QuotaRanking,
+    Side,
+    responsive_preference,
+)
 from manymatch.cli import main
 from manymatch.fileformat import serialize_market
 from manymatch.markets import firms_immune, manipulation_demo, workers_immune
@@ -34,6 +42,24 @@ def firms_immune_file(tmp_path):
 def workers_immune_file(tmp_path):
     path = tmp_path / "workers_immune.market"
     path.write_text(WORKERS_IMMUNE_DOC, encoding="utf-8")
+    return str(path)
+
+
+# f2 lists only the pair {w1, w2}, so it fails substitutability
+F2_NOT_SUBSTITUTABLE_DOC = """\
+firms: f1 f2
+workers: w1 w2
+pref f1: w1 | w2
+pref f2: w1 w2
+pref w1: f1 | f2
+pref w2: f2 | f1
+"""
+
+
+@pytest.fixture
+def f2_not_substitutable_file(tmp_path):
+    path = tmp_path / "pair.market"
+    path.write_text(F2_NOT_SUBSTITUTABLE_DOC, encoding="utf-8")
     return str(path)
 
 
@@ -89,6 +115,11 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(path), "--rule", "firm-optimal")
         assert code == 0
         assert "w2 w3  w1  w4" in out
+
+    def test_precondition_error_names_the_agent(self, capsys, f2_not_substitutable_file):
+        code, _, err = run(capsys, "solve", f2_not_substitutable_file, "--rule", "firm-optimal")
+        assert code == 3
+        assert err == "error: deferred acceptance requires substitutability; f2 fails it\n"
 
     def test_usage_error_exits_2(self, capsys, demo_file):
         with pytest.raises(SystemExit) as exc_info:
@@ -215,6 +246,25 @@ class TestManipulate:
         assert code == 3
         assert "at most 3 agents, got 4" in err
 
+    def test_sublist_search_over_a_long_list_exits_3_before_any_work(self, capsys, tmp_path):
+        # quota 2 over 8 workers: f1 lists 28 pairs and 8 singletons, 2^36 sublists
+        def ranking(side, i, opposite):
+            return responsive_preference(
+                QuotaRanking(AgentId(side, i), tuple(range(opposite)), 2))
+        profile = Profile(
+            tuple(ranking(Side.FIRM, i, 8) for i in range(2)),
+            tuple(ranking(Side.WORKER, j, 2) for j in range(8)),
+        )
+        instance = MarketInstance(("f1", "f2"), tuple(f"w{j}" for j in range(1, 9)), profile)
+        path = tmp_path / "long.market"
+        path.write_text(serialize_market(instance), encoding="utf-8")
+        start = time.monotonic()
+        code, _, err = run(capsys, "manipulate", str(path),
+                           "--agent", "f1", "--rule", "worker-optimal")
+        assert time.monotonic() - start < 1.0
+        assert code == 3
+        assert "true lists of at most 14 entries, got 36" in err
+
 
 class TestVerifyGmt:
     def test_demo_w1_all_assertions_pass(self, capsys, demo_file):
@@ -244,6 +294,12 @@ class TestVerifyGmt:
                            "--rule", "worker-optimal", "--agent", "f1")
         assert code == 3
         assert "aggregate demand" in err
+
+    def test_precondition_error_names_the_agent(self, capsys, f2_not_substitutable_file):
+        code, _, err = run(capsys, "verify-gmt", f2_not_substitutable_file,
+                           "--rule", "firm-optimal", "--agent", "f1")
+        assert code == 3
+        assert err == "error: f2 fails substitutability\n"
 
     def test_agent_and_all_agents_mutually_exclusive(self, demo_file):
         with pytest.raises(SystemExit) as exc_info:

@@ -354,6 +354,20 @@ class TestCounterexampleSearch:
         with pytest.raises(UnsupportedSizeError, match="at most 3 agents, got 4"):
             gmt_counterexample_check(demo_market.profile, rule, AgentId(F, 0), exhaustive=True)
 
+    def test_sublist_cap_checked_before_the_rule_runs(self, monkeypatch, demo_market):
+        import manymatch.manipulation as manipulation
+
+        def no_apply_rule(*args):
+            raise AssertionError("the rule ran before the cap was checked")
+
+        monkeypatch.setattr(manipulation, "apply_rule", no_apply_rule)
+        # every nonempty set of f1's 4 workers: 15 entries, 2^15 sublists
+        everything = relation(AgentId(F, 0), *(
+            [i for i in range(4) if mask >> i & 1] for mask in range(15, 0, -1)))
+        p = replace_preference(demo_market.profile, AgentId(F, 0), everything)
+        with pytest.raises(UnsupportedSizeError, match="at most 14 entries, got 15"):
+            gmt_counterexample_check(p, StableRule.WORKER_OPTIMAL, AgentId(F, 0))
+
 
 # ---------------------------------------------------------------------------
 # properties

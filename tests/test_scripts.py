@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_sweep(*args):
+def run_sweep(*args, expect=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (os.path.join(ROOT, "src"), env.get("PYTHONPATH"))))
@@ -15,16 +17,27 @@ def run_sweep(*args):
         [sys.executable, os.path.join(ROOT, "scripts", "manipulability_sweep.py"), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    return proc.stdout.splitlines()
+    assert proc.returncode == expect, proc.stdout + proc.stderr
+    return proc
 
 
 def test_manipulability_sweep_small_run():
-    lines = run_sweep("--markets", "50", "--seed", "7")
+    lines = run_sweep("--markets", "50", "--seed", "7").stdout.splitlines()
     assert "applicable (agent, rule) pairs: 8" in lines
     assert "assertion failures: 0" in lines
 
 
 def test_manipulability_sweep_on_markets_up_to_six_a_side():
-    lines = run_sweep("--markets", "20", "--max-side", "6")
+    lines = run_sweep("--markets", "20", "--max-side", "6").stdout.splitlines()
     assert "assertion failures: 0" in lines
+
+
+@pytest.mark.parametrize("args, complaint", [
+    (("--max-side", "2"), "--max-side must be between 3 and 32, got 2"),
+    (("--max-side", "33"), "--max-side must be between 3 and 32, got 33"),
+    (("--markets", "-1"), "--markets must be at least 0, got -1"),
+])
+def test_manipulability_sweep_rejects_arguments_out_of_range(args, complaint):
+    stderr = run_sweep(*args, expect=2).stderr
+    assert complaint in stderr
+    assert "Traceback" not in stderr
