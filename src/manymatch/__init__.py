@@ -2,129 +2,17 @@
 
 Stability checking, exact stable-set enumeration, generalized deferred
 acceptance, Blair-order comparisons, and a toolkit for analyzing strategic
-misreporting under stable matching rules.
+misreporting under stable matching rules.  Every partner set is a plain int
+mask over the owning agent's opposite side: each preference list entry, each
+axiom witness set, each agent's matched set and each firm row of a matching.
+
+The package root re-exports the names of the README example and the common
+entry points; everything else is imported from its defining module.
 """
 
-from .axioms import (
-    Axiom,
-    AxiomReport,
-    AxiomWitness,
-    QuotaRanking,
-    check_lad,
-    check_substitutable,
-    responsive_preference,
-)
-from .core import (
-    AgentId,
-    MarketInstance,
-    Matching,
-    MatchingError,
-    MAX_SIDE,
-    NoStableMatchingError,
-    PartnerSet,
-    PreconditionError,
-    PreferenceRelation,
-    Profile,
-    Side,
-    UnsupportedSizeError,
-    choice,
-    matched_set,
-    replace_preference,
-)
-from .fileformat import (
-    ParseError,
-    parse_market,
-    render_matching,
-    serialize_market,
-)
-from .manipulation import (
-    AxiomFlags,
-    CounterexampleReport,
-    GmtCheck,
-    GmtVerification,
-    ManipulationOutcome,
-    Misreport,
-    MisreportFinding,
-    candidate_set_H,
-    evaluate_misreport,
-    gmt_counterexample_check,
-    make_misreport,
-    restrict_preference,
-    truncation_strategy,
-    verify_gmt,
-)
-from .solver import (
-    OrderVerdict,
-    StableRule,
-    apply_rule,
-    compare_blair,
-    compare_common,
-    deferred_acceptance,
-    side_optimal,
-)
-from .stability import (
-    BlockingPair,
-    blocking_pairs,
-    check_same_partner_counts,
-    check_underfilled_constancy,
-    enumerate_stable,
-    is_individually_rational,
-    is_stable,
-)
-
-__all__ = [
-    "AgentId",
-    "Axiom",
-    "AxiomFlags",
-    "AxiomReport",
-    "AxiomWitness",
-    "BlockingPair",
-    "CounterexampleReport",
-    "GmtCheck",
-    "GmtVerification",
-    "ManipulationOutcome",
-    "MarketInstance",
-    "Matching",
-    "MatchingError",
-    "MAX_SIDE",
-    "Misreport",
-    "MisreportFinding",
-    "NoStableMatchingError",
-    "OrderVerdict",
-    "ParseError",
-    "PartnerSet",
-    "PreconditionError",
-    "PreferenceRelation",
-    "Profile",
-    "QuotaRanking",
-    "Side",
-    "StableRule",
-    "UnsupportedSizeError",
-    "apply_rule",
-    "blocking_pairs",
-    "candidate_set_H",
-    "check_lad",
-    "check_same_partner_counts",
-    "check_substitutable",
-    "check_underfilled_constancy",
-    "choice",
-    "compare_blair",
-    "compare_common",
-    "deferred_acceptance",
-    "enumerate_stable",
-    "evaluate_misreport",
-    "gmt_counterexample_check",
-    "is_individually_rational",
-    "is_stable",
-    "make_misreport",
-    "matched_set",
-    "parse_market",
-    "render_matching",
-    "replace_preference",
-    "responsive_preference",
-    "restrict_preference",
-    "serialize_market",
-    "side_optimal",
-    "truncation_strategy",
-    "verify_gmt",
-]
+from .axioms import QuotaRanking, responsive_preference
+from .core import MAX_SIDE, AgentId, Matching, Profile, Side
+from .fileformat import parse_market
+from .manipulation import verify_gmt
+from .solver import StableRule, deferred_acceptance, side_optimal
+from .stability import enumerate_stable

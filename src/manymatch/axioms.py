@@ -3,7 +3,8 @@ responsive-preference generator for building axiom-satisfying relations.
 
 Checkers are exhaustive over the members an agent actually lists (unlisted
 partners can never enter a choice set, so they cannot create or hide a
-violation) and report a replayable witness on failure.
+violation) and report a replayable witness on failure, whose offer and
+reduced sets are masks over the agent's opposite side.
 
 Each check first builds one choice table for the relation.  The k listed
 members are renumbered 0..k-1 in index order, which keeps the numeric order
@@ -23,13 +24,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 
-from .core import (
-    AgentId,
-    PartnerSet,
-    PreferenceRelation,
-    UnsupportedSizeError,
-    bits,
-)
+from .core import AgentId, PreferenceRelation, UnsupportedSizeError, bits
 
 # The choice table has one slot per subset of the listed members, so a check
 # takes O(2^k * k) steps and a few lists of 2^k ints.  At the cap, k = 16,
@@ -54,8 +49,8 @@ class AxiomWitness:
     """
 
     agent: AgentId
-    offer_set: PartnerSet
-    reduced_set: PartnerSet
+    offer_set: int
+    reduced_set: int
     kept: int | None
     removed: int
 
@@ -72,13 +67,12 @@ def _choice_table(pref: PreferenceRelation) -> tuple[int, list[int]]:
     set S of them, both S and Ch(S) over the renumbered members."""
     universe = 0
     for entry in pref.ranked:
-        universe |= entry.mask
+        universe |= entry
     count = universe.bit_count()
     if count > CHECK_CAP:
         raise UnsupportedSizeError(
             f"axiom checks scan all subsets of the listed members; "
-            f"{pref.owner} lists {count} > {CHECK_CAP}"
-        )
+            f"{{agent}} lists {count} > {CHECK_CAP}", pref.owner)
     # best[S]: the rank of the first entry inside S (len(pref.ranked) if none).
     # It starts as the rank of S itself; each pass folds the top index bit,
     # best[S + top] = min(best[S + top], best[S]), then interleaves the two
@@ -87,7 +81,7 @@ def _choice_table(pref: PreferenceRelation) -> tuple[int, list[int]]:
     best = [len(pref.ranked)] * (1 << count)
     entries = []
     for rank, entry in enumerate(pref.ranked):
-        rest = entry.mask
+        rest = entry
         renumbered = 0
         while rest:
             member = rest & -rest
@@ -112,11 +106,10 @@ def _violation(axiom: Axiom, pref: PreferenceRelation, universe: int, offer: int
     offer_mask = 0
     for index, member in enumerate(members):
         offer_mask |= (offer >> index & 1) << member
-    side = pref.owner.side.opposite
     witness = AxiomWitness(
         pref.owner,
-        PartnerSet(side, offer_mask),
-        PartnerSet(side, offer_mask & ~(1 << members[removed])),
+        offer_mask,
+        offer_mask & ~(1 << members[removed]),
         None if kept is None else members[kept],
         members[removed],
     )
@@ -198,7 +191,6 @@ def responsive_preference(q: QuotaRanking) -> PreferenceRelation:
     rank = {idx: r for r, idx in enumerate(q.individual_ranking)}
     cap = min(q.quota, len(q.individual_ranking))
     sentinel = len(q.individual_ranking)
-    side = q.owner.side.opposite
 
     subsets: list[tuple[int, ...]] = []
     for size in range(1, cap + 1):
@@ -209,5 +201,5 @@ def responsive_preference(q: QuotaRanking) -> PreferenceRelation:
         return tuple(ranks) + (sentinel,) * (cap - len(ranks))
 
     subsets.sort(key=key)
-    ranked = tuple(PartnerSet.of(side, *members) for members in subsets)
+    ranked = tuple(sum(1 << i for i in members) for members in subsets)
     return PreferenceRelation(owner=q.owner, ranked=ranked)

@@ -15,12 +15,7 @@ import json
 import sys
 
 from .axioms import Axiom, AxiomReport, check_lad, check_substitutable
-from .core import (
-    MarketInstance,
-    MatchingError,
-    PreconditionError,
-    matched_set,
-)
+from .core import MarketInstance, MatchingError, bits, matched_set
 from .fileformat import (
     ParseError,
     format_partner_set,
@@ -108,10 +103,10 @@ def _axiom_report_payload(name: str, report: AxiomReport, instance: MarketInstan
     }
     if report.witness is not None:
         w = report.witness
-        opposite = instance.side_names(w.offer_set.side)
+        opposite = instance.side_names(w.agent.side.opposite)
         payload["witness"] = {
-            "offer_set": [opposite[i] for i in w.offer_set],
-            "reduced_set": [opposite[i] for i in w.reduced_set],
+            "offer_set": [opposite[i] for i in bits(w.offer_set)],
+            "reduced_set": [opposite[i] for i in bits(w.reduced_set)],
             "kept": opposite[w.kept] if w.kept is not None else None,
             "removed": opposite[w.removed],
         }
@@ -120,9 +115,9 @@ def _axiom_report_payload(name: str, report: AxiomReport, instance: MarketInstan
 
 def _witness_text(report: AxiomReport, instance: MarketInstance) -> str:
     w = report.witness
-    names = instance.side_names(w.offer_set.side)
-    offer = format_partner_set(w.offer_set, instance)
-    reduced = format_partner_set(w.reduced_set, instance)
+    names = instance.side_names(w.agent.side.opposite)
+    offer = format_partner_set(w.offer_set, names)
+    reduced = format_partner_set(w.reduced_set, names)
     if report.axiom is Axiom.SUBSTITUTABILITY:
         return (f"S'={{{offer}}} w={names[w.kept]} w'={names[w.removed]}: "
                 f"{names[w.kept]} is chosen from S' but not from {{{reduced}}}")
@@ -178,7 +173,7 @@ def _cmd_enumerate(args, instance: MarketInstance) -> tuple[int, dict, list[str]
 
 def _relation_names(relation, instance) -> list[list[str]]:
     names = instance.side_names(relation.owner.side.opposite)
-    return [[names[i] for i in entry] for entry in relation.ranked]
+    return [[names[i] for i in bits(entry)] for entry in relation.ranked]
 
 
 def _counterexample_payload(report: CounterexampleReport, instance: MarketInstance) -> dict:
@@ -271,7 +266,8 @@ def _gmt_text(v: GmtVerification, instance: MarketInstance) -> list[str]:
         lines.append("  not applicable: the rule already assigns this agent its side-optimum")
         return lines
     for check in v.checks:
-        target = format_partner_set(matched_set(check.target, v.agent), instance)
+        target = format_partner_set(matched_set(check.target, v.agent),
+                                    instance.side_names(v.agent.side.opposite))
         reported = format_relation(check.misreport.reported, instance) or "(empty list)"
         lines.append(f"  target assignment: {{{target}}}  reported: {reported}")
         for label, ok in zip(_ASSERTION_LABELS, check.assertions):
@@ -347,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         code, payload, lines = _HANDLERS[args.command](args, instance)
     except (MatchingError, ValueError) as exc:
         message = str(exc)
-        if isinstance(exc, PreconditionError) and instance is not None:
+        if getattr(exc, "agent", None) is not None and instance is not None:
             message = exc.naming(instance.name_of(exc.agent))
         print(f"error: {message}", file=sys.stderr)
         return 3

@@ -4,8 +4,9 @@ Two disjoint sides (firms and workers); every agent holds a strict ranking
 over subsets of the opposite side, written as an ordered list of acceptable
 sets with the empty set as the implicit worst acceptable outcome.  A matching
 is an arbitrary set of firm-worker edges, stored as one worker bitmask per
-firm.  Partner sets are bitmasks over agent indices, capped at 32 agents per
-side.
+firm.  Every partner set is a plain ``int`` mask over the indices of the
+owning agent's opposite side, capped at 32 agents per side; the owner gives
+the mask its side.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -38,7 +39,20 @@ def transpose(masks: Iterable[int], size: int) -> list[int]:
 
 
 class MatchingError(Exception):
-    """Base class for domain errors raised by this package."""
+    """Base class for domain errors raised by this package.
+
+    An error about one agent names it as ``{agent}`` in ``template``: the
+    message fills in its side and index, and ``naming`` fills in a name the
+    caller knows it by.
+    """
+
+    def __init__(self, template: str, agent: AgentId | None = None) -> None:
+        self.template = template
+        self.agent = agent
+        super().__init__(template if agent is None else self.naming(str(agent)))
+
+    def naming(self, name: str) -> str:
+        return self.template.format(agent=name)
 
 
 class UnsupportedSizeError(MatchingError):
@@ -46,19 +60,7 @@ class UnsupportedSizeError(MatchingError):
 
 
 class PreconditionError(MatchingError):
-    """An operation's stated precondition does not hold for ``agent``.
-
-    ``template`` names the agent as ``{agent}``; the message fills in its
-    side and index, and ``naming`` fills in a name the caller knows it by.
-    """
-
-    def __init__(self, template: str, agent: AgentId) -> None:
-        self.template = template
-        self.agent = agent
-        super().__init__(self.naming(str(agent)))
-
-    def naming(self, name: str) -> str:
-        return self.template.format(agent=name)
+    """An operation's stated precondition does not hold for ``agent``."""
 
 
 class NoStableMatchingError(MatchingError):
@@ -90,116 +92,40 @@ class AgentId:
 
 
 @dataclass(frozen=True)
-class PartnerSet:
-    """A subset of one side's agents, stored as a bitmask over indices."""
-
-    side: Side
-    mask: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mask < 0 or self.mask >> MAX_SIDE:
-            raise ValueError(f"partner mask out of range (capacity {MAX_SIDE} per side)")
-
-    @classmethod
-    def empty(cls, side: Side) -> "PartnerSet":
-        return cls(side, 0)
-
-    @classmethod
-    def of(cls, side: Side, *indices: int) -> "PartnerSet":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < MAX_SIDE:
-                raise ValueError(f"partner index {i} out of range")
-            mask |= 1 << i
-        return cls(side, mask)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(bits(self.mask))
-
-    def __contains__(self, index: int) -> bool:
-        return bool(self.mask >> index & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices())
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def _require_same_side(self, other: "PartnerSet") -> None:
-        if self.side is not other.side:
-            raise ValueError("partner sets live on different sides")
-
-    def union(self, other: "PartnerSet") -> "PartnerSet":
-        self._require_same_side(other)
-        return PartnerSet(self.side, self.mask | other.mask)
-
-    def issubset(self, other: "PartnerSet") -> bool:
-        self._require_same_side(other)
-        return self.mask & ~other.mask == 0
-
-    def without_member(self, index: int) -> "PartnerSet":
-        return PartnerSet(self.side, self.mask & ~(1 << index))
-
-
-@dataclass(frozen=True)
 class PreferenceRelation:
-    """One agent's strict ranking of acceptable partner sets, best first.
+    """One agent's strict ranking of acceptable partner sets, best first,
+    each a mask over the opposite side.
 
     The empty set never appears in ``ranked``: it is implicitly ranked just
     below the last entry, and every unlisted nonempty set is unacceptable.
     """
 
     owner: AgentId
-    ranked: tuple[PartnerSet, ...]
+    ranked: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        want = self.owner.side.opposite
-        seen = set()
         for entry in self.ranked:
-            if entry.side is not want:
-                raise ValueError(f"entry on wrong side in preference of {self.owner}")
-            if not entry:
-                raise ValueError(f"empty set listed explicitly in preference of {self.owner}")
-            if entry.mask in seen:
-                raise ValueError(f"duplicate entry in preference of {self.owner}")
-            seen.add(entry.mask)
+            if not 0 < entry < 1 << MAX_SIDE:
+                raise ValueError(f"partner mask {entry} out of range in preference of "
+                                 f"{self.owner} (nonempty, capacity {MAX_SIDE} per side)")
+        if len(set(self.ranked)) != len(self.ranked):
+            raise ValueError(f"duplicate entry in preference of {self.owner}")
 
-    def rank_of(self, subset: PartnerSet) -> int | None:
-        """Position of ``subset`` in the order; len(ranked) for the empty set,
-        None for unlisted (unacceptable) sets."""
-        if subset.side is not self.owner.side.opposite:
-            raise ValueError("subset drawn from the wrong side")
+    def rank_of(self, subset: int) -> int | None:
+        """Position of the mask ``subset`` in the order; len(ranked) for the
+        empty set, None for unlisted (unacceptable) sets."""
         if not subset:
             return len(self.ranked)
-        for pos, entry in enumerate(self.ranked):
-            if entry.mask == subset.mask:
-                return pos
-        return None
-
-    def is_acceptable(self, subset: PartnerSet) -> bool:
-        return self.rank_of(subset) is not None
+        return self.ranked.index(subset) if subset in self.ranked else None
 
 
 def choice_mask(offer_mask: int, pref: PreferenceRelation) -> int:
-    """Low-level choice evaluator on raw bitmasks (no side checking)."""
+    """The best subset of ``offer_mask`` under ``pref``: the first ranked
+    entry contained in the offer, or 0 when none qualifies."""
     for entry in pref.ranked:
-        if entry.mask & ~offer_mask == 0:
-            return entry.mask
+        if entry & ~offer_mask == 0:
+            return entry
     return 0
-
-
-def choice(offer: PartnerSet, pref: PreferenceRelation) -> PartnerSet:
-    """The best subset of ``offer`` under ``pref``: the first ranked entry
-    contained in the offer, or the empty set when none qualifies."""
-    if offer.side is not pref.owner.side.opposite:
-        raise ValueError(
-            f"offer set is on side {offer.side.value!r} but {pref.owner} chooses "
-            f"from side {pref.owner.side.opposite.value!r}"
-        )
-    return PartnerSet(offer.side, choice_mask(offer.mask, pref))
 
 
 @dataclass(frozen=True)
@@ -220,7 +146,7 @@ class Profile:
                 if pref.owner != AgentId(side, i):
                     raise ValueError(f"preference at {side.value} slot {i} owned by {pref.owner}")
                 for entry in pref.ranked:
-                    if entry.mask >> opp_count:
+                    if entry >> opp_count:
                         raise ValueError(f"preference of {pref.owner} references unknown partners")
 
     @property
@@ -302,15 +228,12 @@ class Matching:
         return self.rows[f] if f < len(self.rows) else 0
 
 
-def matched_set(mu: Matching, agent: AgentId) -> PartnerSet:
-    """The partners of ``agent`` under ``mu``; empty for single agents."""
+def matched_set(mu: Matching, agent: AgentId) -> int:
+    """The partners of ``agent`` under ``mu``, a mask over the opposite
+    side; 0 for single agents."""
     if agent.side is Side.FIRM:
-        mask = mu.row(agent.index)
-    else:
-        mask = 0
-        for f, row in enumerate(mu.rows):
-            mask |= (row >> agent.index & 1) << f
-    return PartnerSet(agent.side.opposite, mask)
+        return mu.row(agent.index)
+    return sum((row >> agent.index & 1) << f for f, row in enumerate(mu.rows))
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,18 @@ and at most 32 agents per side are allowed.
 from __future__ import annotations
 
 import re
+from typing import Sequence
 
 from .core import (
     MarketInstance,
     MatchingError,
     Matching,
-    PartnerSet,
     PreferenceRelation,
     Profile,
     Side,
     AgentId,
     MAX_SIDE,
+    bits,
 )
 
 EMPTY_SET_TEXT = "∅"
@@ -120,7 +121,7 @@ def parse_market(text: str) -> MarketInstance:
         if owner in relations:
             raise ParseError(f"duplicate pref line for agent {name!r}", lineno)
 
-        ranked: list[PartnerSet] = []
+        ranked: list[int] = []
         seen_masks = set()
         alternatives = body.split("|") if body.strip() else []
         for alt in alternatives:
@@ -143,7 +144,7 @@ def parse_market(text: str) -> MarketInstance:
             if mask in seen_masks:
                 raise ParseError(f"duplicate alternative in the pref line of {name!r}", lineno)
             seen_masks.add(mask)
-            ranked.append(PartnerSet(member_side, mask))
+            ranked.append(mask)
             offset += len(alt) + 1
         relations[owner] = PreferenceRelation(owner=owner, ranked=tuple(ranked))
 
@@ -161,14 +162,14 @@ def parse_market(text: str) -> MarketInstance:
     )
 
 
-def format_partner_set(ps: PartnerSet, instance: MarketInstance) -> str:
-    """Members of ``ps`` as names in index order, or the empty-set sign."""
-    names = instance.side_names(ps.side)
-    return " ".join(names[i] for i in ps) if ps else EMPTY_SET_TEXT
+def format_partner_set(mask: int, names: Sequence[str]) -> str:
+    """Members of ``mask`` as ``names`` in index order, or the empty-set sign."""
+    return " ".join(names[i] for i in bits(mask)) if mask else EMPTY_SET_TEXT
 
 
 def format_relation(pref: PreferenceRelation, instance: MarketInstance) -> str:
-    return " | ".join(format_partner_set(entry, instance) for entry in pref.ranked)
+    names = instance.side_names(pref.owner.side.opposite)
+    return " | ".join(format_partner_set(entry, names) for entry in pref.ranked)
 
 
 def serialize_market(instance: MarketInstance) -> str:
@@ -185,15 +186,15 @@ def serialize_market(instance: MarketInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def firm_partners(mu: Matching, instance: MarketInstance) -> list[tuple[str, PartnerSet]]:
-    """Each firm's name with its workers under ``mu``, in firm index order."""
-    return [(name, PartnerSet(Side.WORKER, mu.row(f)))
-            for f, name in enumerate(instance.firm_names)]
+def firm_partners(mu: Matching, instance: MarketInstance) -> list[tuple[str, int]]:
+    """Each firm's name with its worker mask under ``mu``, in firm index order."""
+    return [(name, mu.row(f)) for f, name in enumerate(instance.firm_names)]
 
 
 def render_matching(mu: Matching, instance: MarketInstance) -> str:
     """Two-row table: one column per firm, cells listing the firm's workers."""
-    cells = [format_partner_set(partners, instance) for _, partners in firm_partners(mu, instance)]
+    cells = [format_partner_set(row, instance.worker_names)
+             for _, row in firm_partners(mu, instance)]
     widths = [max(len(h), len(c)) for h, c in zip(instance.firm_names, cells)]
     header = "  ".join(h.ljust(w) for h, w in zip(instance.firm_names, widths)).rstrip()
     row = "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
@@ -202,5 +203,5 @@ def render_matching(mu: Matching, instance: MarketInstance) -> str:
 
 def matching_to_dict(mu: Matching, instance: MarketInstance) -> dict[str, list[str]]:
     """JSON-friendly view: firm name -> worker names, [] for unmatched."""
-    return {name: [instance.worker_names[w] for w in partners]
-            for name, partners in firm_partners(mu, instance)}
+    return {name: [instance.worker_names[w] for w in bits(row)]
+            for name, row in firm_partners(mu, instance)}

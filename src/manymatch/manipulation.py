@@ -21,13 +21,12 @@ from .core import (
     AgentId,
     Matching,
     NoStableMatchingError,
-    PartnerSet,
     PreconditionError,
     PreferenceRelation,
     Profile,
     UnsupportedSizeError,
     bits,
-    choice,
+    choice_mask,
     matched_set,
     replace_preference,
 )
@@ -88,21 +87,19 @@ class ManipulationOutcome:
 
 
 def restrict_preference(
-    pref: PreferenceRelation, t: PartnerSet, p_check: bool = True
+    pref: PreferenceRelation, t: int, p_check: bool = True
 ) -> PreferenceRelation:
-    """The relation declaring unacceptable every set not contained in ``t``,
-    preserving acceptability and order inside ``t``.
+    """The relation declaring unacceptable every set not contained in the
+    mask ``t``, preserving acceptability and order inside ``t``.
 
     With ``p_check`` on, ``t`` must be a fixed point of the agent's choice
     (the standing condition under which restriction is used as a strategy).
     """
-    if t.side is not pref.owner.side.opposite:
-        raise ValueError("restriction target drawn from the wrong side")
-    if p_check and choice(t, pref) != t:
+    if p_check and choice_mask(t, pref) != t:
         raise PreconditionError(
             "restriction target is not a choice fixed point for {agent}", pref.owner
         )
-    kept = tuple(entry for entry in pref.ranked if entry.issubset(t))
+    kept = tuple(entry for entry in pref.ranked if entry & ~t == 0)
     return PreferenceRelation(owner=pref.owner, ranked=kept)
 
 
@@ -285,11 +282,10 @@ class CounterexampleReport:
 
 def _all_relations(owner: AgentId, opposite_count: int) -> list[PreferenceRelation]:
     """Every strict list of distinct nonempty subsets of the opposite side."""
-    side = owner.side.opposite
     pool = []
     for size in range(1, opposite_count + 1):
         for members in combinations(range(opposite_count), size):
-            pool.append(PartnerSet.of(side, *members))
+            pool.append(sum(1 << i for i in members))
     relations = []
     for length in range(len(pool) + 1):
         for ranked in permutations(pool, length):

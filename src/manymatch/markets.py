@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .axioms import check_lad
-from .core import (
-    MarketInstance,
-    Matching,
-    PartnerSet,
-    PreferenceRelation,
-    Side,
-)
+from .core import MarketInstance, Matching, PreferenceRelation
 from .fileformat import firm_partners, format_partner_set, parse_market
 from .manipulation import (
     evaluate_misreport,
@@ -96,8 +90,8 @@ BUNDLED = {
 
 def compact_matching(mu: Matching, instance: MarketInstance) -> str:
     """One-line rendering used for golden comparisons: 'f1=w2 w3, f2=w1, ...'."""
-    return ", ".join(f"{name}={format_partner_set(partners, instance)}"
-                     for name, partners in firm_partners(mu, instance))
+    return ", ".join(f"{name}={format_partner_set(row, instance.worker_names)}"
+                     for name, row in firm_partners(mu, instance))
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,7 @@ def _demo_checks() -> list[BundledCheck]:
         "f1=w1 w3, f2=w2, f3=w4", compact_matching(mu_w, inst)))
 
     w1 = inst.agent_id("w1")
-    only_f3 = PreferenceRelation(owner=w1, ranked=(PartnerSet.of(Side.FIRM, 2),))
+    only_f3 = PreferenceRelation(owner=w1, ranked=(1 << inst.firm_names.index("f3"),))
     outcome = evaluate_misreport(w1, make_misreport(w1, only_f3), StableRule.FIRM_OPTIMAL, p, mu_f)
     checks.append(BundledCheck(
         "manipulation-demo", "w1 reports only f3: manipulated matching",
@@ -170,8 +164,8 @@ def _firms_immune_checks() -> list[BundledCheck]:
     report = check_lad(p[inst.agent_id("f1")])
     witness = report.witness
     actual = "holds" if report.holds else (
-        f"fails: X={{{format_partner_set(witness.offer_set, inst)}}} "
-        f"Y={{{format_partner_set(witness.reduced_set, inst)}}}")
+        f"fails: X={{{format_partner_set(witness.offer_set, inst.worker_names)}}} "
+        f"Y={{{format_partner_set(witness.reduced_set, inst.worker_names)}}}")
     checks.append(BundledCheck(
         "firms-immune", "f1 violates the law of aggregate demand",
         "fails: X={w2 w3 w4} Y={w3 w4}", actual))

@@ -20,7 +20,6 @@ from .core import (
     Profile,
     Side,
     bits,
-    choice,
     choice_mask,
     matched_set,
     transpose,
@@ -106,7 +105,7 @@ def compare_blair(mu1: Matching, mu2: Matching, a: AgentId, p: Profile) -> Order
     s1, s2 = matched_set(mu1, a), matched_set(mu2, a)
     if s1 == s2:
         return OrderVerdict.EQUAL
-    best = choice(s1.union(s2), p[a])
+    best = choice_mask(s1 | s2, p[a])
     if best == s1:
         return OrderVerdict.BETTER_STRICT
     if best == s2:

@@ -88,7 +88,7 @@ def _kept_whole(pref: PreferenceRelation, opposite_count: int) -> dict[int, int]
     """The sets ``pref`` keeps whole (the empty set and each listed S with
     Ch(S) = S), each mapped to the k outside S with k in Ch(S + k)."""
     kept = {}
-    for s in (0, *(entry.mask for entry in pref.ranked)):
+    for s in (0, *pref.ranked):
         if choice_mask(s, pref) == s:
             kept[s] = sum(
                 1 << k for k in range(opposite_count)
@@ -173,7 +173,7 @@ def check_same_partner_counts(ss: tuple[Matching, ...]) -> tuple[bool, AgentId |
     """Is every agent matched with the same number of partners in every
     member?  (Agents appearing in no member trivially count zero throughout.)"""
     for agent in _agents_in(ss):
-        counts = {len(matched_set(mu, agent)) for mu in ss}
+        counts = {matched_set(mu, agent).bit_count() for mu in ss}
         if len(counts) > 1:
             return (False, agent)
     return (True, None)
@@ -190,8 +190,8 @@ def check_underfilled_constancy(
     ordered = sorted(quotas, key=lambda a: (a.side is Side.WORKER, a.index))
     for agent in ordered:
         views = [matched_set(mu, agent) for mu in ss]
-        underfilled = any(len(v) < quotas[agent] for v in views)
-        if underfilled and len({v.mask for v in views}) > 1:
+        underfilled = any(v.bit_count() < quotas[agent] for v in views)
+        if underfilled and len(set(views)) > 1:
             return (False, agent)
     return (True, None)
 

@@ -14,19 +14,10 @@ from itertools import combinations
 
 import pytest
 
-from manymatch import (
-    AgentId,
-    Matching,
-    PartnerSet,
-    PreferenceRelation,
-    Profile,
-    QuotaRanking,
-    Side,
-    check_substitutable,
-    is_stable,
-    responsive_preference,
-)
-from manymatch.core import choice_mask
+from manymatch import AgentId, Matching, Profile, QuotaRanking, Side, responsive_preference
+from manymatch.axioms import check_substitutable
+from manymatch.core import PreferenceRelation, choice_mask
+from manymatch.stability import is_stable
 from manymatch.markets import firms_immune, manipulation_demo, workers_immune
 
 # ---------------------------------------------------------------------------
@@ -68,7 +59,7 @@ def all_pairs_lad_holds(pref: PreferenceRelation) -> bool:
     """LAD by its raw definition: |Ch(Y)| <= |Ch(X)| for every Y inside X."""
     universe = 0
     for entry in pref.ranked:
-        universe |= entry.mask
+        universe |= entry
     for x in subsets_of(universe):
         cx = choice_mask(x, pref).bit_count()
         for y in subsets_of(x):
@@ -88,7 +79,7 @@ def first_substitutability_violation(pref: PreferenceRelation):
     reduced offer no longer chooses ``kept``, or None when the axiom holds."""
     universe = 0
     for entry in pref.ranked:
-        universe |= entry.mask
+        universe |= entry
     for offer in subsets_of(universe):
         chosen = choice_mask(offer, pref)
         for kept in _members(chosen):
@@ -108,7 +99,7 @@ def first_lad_violation(pref: PreferenceRelation):
     partners, or None when the axiom holds."""
     universe = 0
     for entry in pref.ranked:
-        universe |= entry.mask
+        universe |= entry
     for offer in subsets_of(universe):
         count = choice_mask(offer, pref).bit_count()
         for removed in _members(offer):
@@ -124,18 +115,17 @@ def responsive_oracle(pref: PreferenceRelation, q: QuotaRanking) -> bool:
     slot with any acceptable individual improves a set."""
     members = set(q.individual_ranking)
     rank = {idx: r for r, idx in enumerate(q.individual_ranking)}
-    side = pref.owner.side.opposite
 
-    acceptable = {entry.mask for entry in pref.ranked}
+    acceptable = set(pref.ranked)
     expected = set()
     for size in range(1, min(q.quota, len(members)) + 1):
         for combo in combinations(sorted(members), size):
-            expected.add(PartnerSet.of(side, *combo).mask)
+            expected.add(pset(*combo))
     if acceptable != expected:
         return False
 
     def position(mask: int) -> int:
-        return pref.rank_of(PartnerSet(side, mask))
+        return pref.rank_of(mask)
 
     for mask in acceptable:
         base = [i for i in range(32) if mask >> i & 1]
@@ -200,7 +190,7 @@ def random_relation(owner: AgentId, opposite: int, rng: random.Random,
     pool = []
     for size in range(1, opposite + 1):
         for members in combinations(range(opposite), size):
-            pool.append(PartnerSet.of(owner.side.opposite, *members))
+            pool.append(pset(*members))
     k = rng.randint(0, min(len(pool), max_entries))
     return PreferenceRelation(owner=owner, ranked=tuple(rng.sample(pool, k)))
 
@@ -212,7 +202,7 @@ def random_substitutable_relation(owner: AgentId, opposite: int,
         pref = random_relation(owner, opposite, rng)
         if check_substitutable(pref).holds:
             return pref
-    singles = [PartnerSet.of(owner.side.opposite, i) for i in range(opposite)]
+    singles = [pset(i) for i in range(opposite)]
     rng.shuffle(singles)
     return PreferenceRelation(owner=owner, ranked=tuple(singles))
 
@@ -246,7 +236,7 @@ _NAME_SCHEMES = (
 
 
 def random_market_instance(rng: random.Random, max_side: int = 5):
-    from manymatch import MarketInstance
+    from manymatch.core import MarketInstance
 
     n = rng.randint(1, max_side)
     m = rng.randint(1, max_side)
@@ -293,12 +283,6 @@ def responsive_corpus():
     return out
 
 
-def _rel(owner: AgentId, side: Side, *index_sets) -> PreferenceRelation:
-    return PreferenceRelation(
-        owner=owner, ranked=tuple(PartnerSet.of(side, *s) for s in index_sets)
-    )
-
-
 @pytest.fixture(scope="session")
 def empty_stable_set_profile() -> Profile:
     """A frozen 3x2 profile with no stable matching (firm 1 is not
@@ -306,23 +290,24 @@ def empty_stable_set_profile() -> Profile:
     f = Side.FIRM
     w = Side.WORKER
     firm_prefs = (
-        _rel(AgentId(f, 0), w, (0,), (1,), (0, 1)),
-        _rel(AgentId(f, 1), w, (0, 1), (1,)),
-        _rel(AgentId(f, 2), w, (0,), (1,), (0, 1)),
+        relation(AgentId(f, 0), (0,), (1,), (0, 1)),
+        relation(AgentId(f, 1), (0, 1), (1,)),
+        relation(AgentId(f, 2), (0,), (1,), (0, 1)),
     )
     worker_prefs = (
-        _rel(AgentId(w, 0), f, (1,), (0, 1, 2), (0, 1), (0,), (2,)),
-        _rel(AgentId(w, 1), f, (0,), (1,), (0, 2), (1, 2), (0, 1)),
+        relation(AgentId(w, 0), (1,), (0, 1, 2), (0, 1), (0,), (2,)),
+        relation(AgentId(w, 1), (0,), (1,), (0, 2), (1, 2), (0, 1)),
     )
     return Profile(firm_prefs, worker_prefs)
 
 
-def pset(side: Side, *indices: int) -> PartnerSet:
-    return PartnerSet.of(side, *indices)
+def pset(*indices: int) -> int:
+    """The partner mask with the given member indices."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 def relation(owner: AgentId, *index_sets) -> PreferenceRelation:
-    side = owner.side.opposite
-    return PreferenceRelation(
-        owner=owner, ranked=tuple(PartnerSet.of(side, *s) for s in index_sets)
-    )
+    return PreferenceRelation(owner=owner, ranked=tuple(pset(*s) for s in index_sets))

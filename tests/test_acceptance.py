@@ -21,32 +21,34 @@ from conftest import (
 from manymatch import (
     AgentId,
     Matching,
-    OrderVerdict,
     Side,
     StableRule,
-    blocking_pairs,
-    check_lad,
-    check_same_partner_counts,
-    check_substitutable,
-    check_underfilled_constancy,
     deferred_acceptance,
     enumerate_stable,
-    evaluate_misreport,
-    gmt_counterexample_check,
-    is_stable,
-    make_misreport,
-    matched_set,
     parse_market,
-    replace_preference,
     responsive_preference,
-    restrict_preference,
-    serialize_market,
     side_optimal,
-    truncation_strategy,
     verify_gmt,
 )
+from manymatch.axioms import check_lad, check_substitutable
 from manymatch.cli import main
+from manymatch.core import matched_set, replace_preference
+from manymatch.fileformat import serialize_market
+from manymatch.manipulation import (
+    evaluate_misreport,
+    gmt_counterexample_check,
+    make_misreport,
+    restrict_preference,
+    truncation_strategy,
+)
 from manymatch.markets import firms_immune, manipulation_demo, workers_immune
+from manymatch.solver import OrderVerdict
+from manymatch.stability import (
+    blocking_pairs,
+    check_same_partner_counts,
+    check_underfilled_constancy,
+    is_stable,
+)
 
 from test_manipulation import restriction_items_hold
 
@@ -103,13 +105,13 @@ def test_criterion_2_firms_immune_reproduction():
     expected = {
         "f1": (Matching.from_pairs([(1, 0), (1, 3), (2, 1), (2, 2)]),
                OrderVerdict.WORSE_STRICT,
-               (pset(W, 0, 1), pset(W, 0), pset(W, 1))),
+               (pset(0, 1), pset(0), pset(1))),
         "f2": (Matching.from_pairs([(0, 2), (0, 3), (2, 0), (2, 1)]),
                OrderVerdict.WORSE_STRICT,
-               (pset(W, 2),)),
+               (pset(2),)),
         "f3": (Matching.from_pairs([(0, 2), (0, 3), (1, 0), (1, 1)]),
                OrderVerdict.EQUAL,
-               (pset(W, 3),)),
+               (pset(3),)),
     }
     for name, (want_mu, want_verdict, want_ranked) in expected.items():
         agent = inst.agent_id(name)
@@ -122,8 +124,8 @@ def test_criterion_2_firms_immune_reproduction():
 
     lad = check_lad(p[inst.agent_id("f1")])
     assert not lad.holds
-    assert lad.witness.offer_set == pset(W, 1, 2, 3)
-    assert lad.witness.reduced_set == pset(W, 2, 3)
+    assert lad.witness.offer_set == pset(1, 2, 3)
+    assert lad.witness.reduced_set == pset(2, 3)
     print("\n[PASS] criterion 2: firms-immune market reproduced exactly")
 
 

@@ -14,20 +14,9 @@ from conftest import (
     relation,
     responsive_oracle,
 )
-from manymatch import (
-    AgentId,
-    Axiom,
-    PartnerSet,
-    PreferenceRelation,
-    QuotaRanking,
-    Side,
-    UnsupportedSizeError,
-    check_lad,
-    check_substitutable,
-    choice,
-    responsive_preference,
-)
-from manymatch.core import choice_mask
+from manymatch import AgentId, QuotaRanking, Side, responsive_preference
+from manymatch.axioms import Axiom, check_lad, check_substitutable
+from manymatch.core import PreferenceRelation, UnsupportedSizeError, choice_mask
 
 F = Side.FIRM
 W = Side.WORKER
@@ -58,10 +47,10 @@ class TestSubstitutability:
         report = check_substitutable(pref)
         assert not report.holds
         w = report.witness
-        assert w.offer_set == pset(W, 0, 1)
+        assert w.offer_set == pset(0, 1)
         assert w.kept == 0
         assert w.removed == 1
-        assert w.reduced_set == pset(W, 0)
+        assert w.reduced_set == pset(0)
 
     def test_report_axiom_tag(self):
         assert check_substitutable(odd_lad_relation()).axiom is Axiom.SUBSTITUTABILITY
@@ -71,15 +60,15 @@ class TestLad:
     def test_odd_lad_relation_fails_with_pinned_witness(self):
         report = check_lad(odd_lad_relation())
         assert not report.holds
-        assert report.witness.offer_set == pset(W, 0, 1, 2)
-        assert report.witness.reduced_set == pset(W, 0, 2)
+        assert report.witness.offer_set == pset(0, 1, 2)
+        assert report.witness.reduced_set == pset(0, 2)
         assert report.witness.removed == 1
 
     def test_firms_immune_f1_fails_with_pinned_witness(self):
         report = check_lad(firms_immune_f1())
         assert not report.holds
-        assert report.witness.offer_set == pset(W, 1, 2, 3)
-        assert report.witness.reduced_set == pset(W, 2, 3)
+        assert report.witness.offer_set == pset(1, 2, 3)
+        assert report.witness.reduced_set == pset(2, 3)
 
     def test_singleton_lists_satisfy_lad(self):
         pref = relation(AgentId(F, 0), (1,), (0,), (2,))
@@ -111,23 +100,23 @@ class TestLad:
         whole = relation(AgentId(F, 0), tuple(range(16)), (3,))
         report = check_substitutable(whole)
         assert (report.witness.offer_set, report.witness.kept, report.witness.removed) == (
-            PartnerSet(W, (1 << 16) - 1), 0, 1)
+            (1 << 16) - 1, 0, 1)
 
 
 class TestResponsiveGenerator:
     def test_quota_one_equals_individual_ranking(self):
         q = QuotaRanking(owner=AgentId(F, 0), individual_ranking=(0, 1), quota=1)
-        assert responsive_preference(q).ranked == (pset(W, 0), pset(W, 1))
+        assert responsive_preference(q).ranked == (pset(0), pset(1))
 
     def test_pinned_quota_two_order(self):
         q = QuotaRanking(owner=AgentId(F, 0), individual_ranking=(0, 1, 2), quota=2)
         assert responsive_preference(q).ranked == (
-            pset(W, 0, 1),
-            pset(W, 0, 2),
-            pset(W, 0),
-            pset(W, 1, 2),
-            pset(W, 1),
-            pset(W, 2),
+            pset(0, 1),
+            pset(0, 2),
+            pset(0),
+            pset(1, 2),
+            pset(1),
+            pset(2),
         )
 
     def test_empty_ranking_gives_empty_relation(self):
@@ -150,9 +139,8 @@ class TestResponsiveGenerator:
 @st.composite
 def arbitrary_relations(draw, max_opposite=4, max_entries=8):
     opposite = draw(st.integers(1, max_opposite))
-    pool = [PartnerSet(W, mask) for mask in range(1, 1 << opposite)]
-    entries = draw(st.lists(st.sampled_from(pool), unique_by=lambda s: s.mask,
-                            max_size=max_entries))
+    pool = list(range(1, 1 << opposite))
+    entries = draw(st.lists(st.sampled_from(pool), unique=True, max_size=max_entries))
     return PreferenceRelation(owner=AgentId(F, 0), ranked=tuple(entries))
 
 
@@ -162,7 +150,7 @@ def found(report):
         assert report.witness is None
         return None
     w = report.witness
-    return w.offer_set.mask, w.reduced_set.mask, w.kept, w.removed
+    return w.offer_set, w.reduced_set, w.kept, w.removed
 
 
 def assert_checkers_match_oracles(pref):
@@ -194,7 +182,7 @@ def test_checkers_find_the_oracles_first_witness_on_sparse_members():
         members = sorted(rng.sample(range(32), rng.randint(1, 5)))
         masks = [sum(1 << members[i] for i in range(len(members)) if sub >> i & 1)
                  for sub in range(1, 1 << len(members))]
-        ranked = tuple(PartnerSet(W, m) for m in rng.sample(masks, min(len(masks), 10)))
+        ranked = tuple(rng.sample(masks, min(len(masks), 10)))
         assert_checkers_match_oracles(PreferenceRelation(AgentId(F, 0), ranked))
 
 
@@ -205,9 +193,9 @@ def test_substitutability_witness_replays(pref):
         return
     w = report.witness
     assert w.agent == pref.owner
-    assert w.reduced_set == w.offer_set.without_member(w.removed)
-    assert w.kept in choice(w.offer_set, pref)
-    assert w.kept not in choice(w.reduced_set, pref)
+    assert w.reduced_set == w.offer_set & ~(1 << w.removed)
+    assert choice_mask(w.offer_set, pref) >> w.kept & 1
+    assert not choice_mask(w.reduced_set, pref) >> w.kept & 1
 
 
 @given(arbitrary_relations())
@@ -216,8 +204,8 @@ def test_lad_witness_replays(pref):
     if report.holds:
         return
     w = report.witness
-    assert w.reduced_set == w.offer_set.without_member(w.removed)
-    assert len(choice(w.reduced_set, pref)) > len(choice(w.offer_set, pref))
+    assert w.reduced_set == w.offer_set & ~(1 << w.removed)
+    assert choice_mask(w.reduced_set, pref).bit_count() > choice_mask(w.offer_set, pref).bit_count()
 
 
 @given(arbitrary_relations())

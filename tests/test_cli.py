@@ -6,15 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from manymatch import (
-    AgentId,
-    MarketInstance,
-    Profile,
-    QuotaRanking,
-    Side,
-    responsive_preference,
-)
+from manymatch import AgentId, Profile, QuotaRanking, Side, responsive_preference
 from manymatch.cli import main
+from manymatch.core import MarketInstance
 from manymatch.fileformat import serialize_market
 from manymatch.markets import firms_immune, manipulation_demo, workers_immune
 from manymatch.stability import SEARCH_BUDGET
@@ -203,6 +197,20 @@ class TestValidate:
         assert f1_lad["witness"]["offer_set"] == ["w2", "w3", "w4"]
         assert f1_lad["witness"]["reduced_set"] == ["w3", "w4"]
         assert doc["results"]["all_hold"] is False
+
+
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--rule", "firm-optimal"]])
+def test_axiom_cap_error_names_the_agent(capsys, tmp_path, command):
+    # f1 lists all 17 workers, one more than the axiom checks scan
+    workers = [f"w{j}" for j in range(1, 18)]
+    lines = ["firms: f1 f2", "workers: " + " ".join(workers),
+             "pref f1: " + " | ".join(workers), "pref f2: w1"]
+    lines += [f"pref {w}: f1 | f2" for w in workers]
+    path = tmp_path / "wide.market"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (3, "")
+    assert err == "error: axiom checks scan all subsets of the listed members; f1 lists 17 > 16\n"
 
 
 class TestManipulate:

@@ -4,15 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import pset, relation
-from manymatch import (
-    AgentId,
+from manymatch import AgentId, Matching, Profile, Side
+from manymatch.core import (
+    MAX_SIDE,
     MarketInstance,
-    Matching,
-    PartnerSet,
     PreferenceRelation,
-    Profile,
-    Side,
-    choice,
+    bits,
+    choice_mask,
     matched_set,
     replace_preference,
 )
@@ -29,46 +27,27 @@ def odd_lad_relation() -> PreferenceRelation:
 class TestChoice:
     def test_first_contained_entry_wins(self):
         pref = odd_lad_relation()
-        assert choice(pset(W, 0, 1, 2), pref) == pset(W, 1)
+        assert choice_mask(pset(0, 1, 2), pref) == pset(1)
 
     def test_later_entry_when_first_not_contained(self):
         pref = odd_lad_relation()
-        assert choice(pset(W, 0, 2), pref) == pset(W, 0, 2)
+        assert choice_mask(pset(0, 2), pref) == pset(0, 2)
 
     def test_empty_offer_gives_empty_choice(self):
         pref = odd_lad_relation()
-        assert choice(PartnerSet.empty(W), pref) == PartnerSet.empty(W)
+        assert choice_mask(0, pref) == 0
 
     def test_nothing_acceptable_gives_empty(self):
         pref = relation(AgentId(F, 0), (0, 1))
-        assert choice(pset(W, 2), pref) == PartnerSet.empty(W)
-
-    def test_side_mismatch_rejected(self):
-        pref = odd_lad_relation()
-        with pytest.raises(ValueError):
-            choice(pset(F, 0), pref)
-
-
-class TestPartnerSet:
-    def test_capacity_enforced(self):
-        with pytest.raises(ValueError):
-            PartnerSet(W, 1 << 32)
-        with pytest.raises(ValueError):
-            PartnerSet.of(W, 32)
-
-    def test_set_operations(self):
-        s = pset(W, 0, 2)
-        assert list(s) == [0, 2]
-        assert len(s) == 2
-        assert 2 in s and 1 not in s
-        assert s.union(pset(W, 1)) == pset(W, 0, 1, 2)
-        assert s.without_member(2) == pset(W, 0)
-        assert pset(W, 0).issubset(s)
-        with pytest.raises(ValueError):
-            s.union(pset(F, 1))
+        assert choice_mask(pset(2), pref) == 0
 
 
 class TestPreferenceRelation:
+    @pytest.mark.parametrize("mask", [-1, 1 << MAX_SIDE, 0])
+    def test_mask_out_of_range_rejected(self, mask):
+        with pytest.raises(ValueError):
+            PreferenceRelation(owner=AgentId(F, 0), ranked=(pset(0), mask))
+
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError):
             relation(AgentId(F, 0), (0, 1), (0, 1))
@@ -77,15 +56,11 @@ class TestPreferenceRelation:
         with pytest.raises(ValueError):
             relation(AgentId(F, 0), (0,), ())
 
-    def test_wrong_side_entry_rejected(self):
-        with pytest.raises(ValueError):
-            PreferenceRelation(owner=AgentId(F, 0), ranked=(pset(F, 0),))
-
     def test_rank_of_empty_is_below_last_entry(self):
         pref = odd_lad_relation()
-        assert pref.rank_of(PartnerSet.empty(W)) == 4
-        assert pref.rank_of(pset(W, 1)) == 0
-        assert pref.rank_of(pset(W, 0, 1)) is None
+        assert pref.rank_of(0) == 4
+        assert pref.rank_of(pset(1)) == 0
+        assert pref.rank_of(pset(0, 1)) is None
 
 
 def two_by_two_profile() -> Profile:
@@ -138,13 +113,13 @@ class TestProfile:
 class TestMatching:
     def test_matched_set_views(self):
         mu = Matching.from_pairs([(0, 1), (0, 2), (1, 0)])
-        assert matched_set(mu, AgentId(F, 0)) == pset(W, 1, 2)
-        assert matched_set(mu, AgentId(W, 0)) == pset(F, 1)
-        assert matched_set(mu, AgentId(W, 3)) == PartnerSet.empty(F)
+        assert matched_set(mu, AgentId(F, 0)) == pset(1, 2)
+        assert matched_set(mu, AgentId(W, 0)) == pset(1)
+        assert matched_set(mu, AgentId(W, 3)) == 0
 
     def test_empty_matching_views(self):
         mu = Matching.empty()
-        assert matched_set(mu, AgentId(F, 0)) == PartnerSet.empty(W)
+        assert matched_set(mu, AgentId(F, 0)) == 0
 
     def test_edge_mask_encoding(self):
         # firm rows laid end to end give the edge mask, bit f*m + w per edge
@@ -191,10 +166,10 @@ class TestMarketInstance:
 def test_demo_matched_sets(demo_market):
     p = demo_market.profile
     mu_f = Matching.from_pairs([(0, 1), (0, 2), (1, 0), (2, 3)])
-    assert matched_set(mu_f, demo_market.agent_id("f1")) == pset(W, 1, 2)
+    assert matched_set(mu_f, demo_market.agent_id("f1")) == pset(1, 2)
     mu_w = Matching.from_pairs([(0, 0), (0, 2), (1, 1), (2, 3)])
-    assert matched_set(mu_w, demo_market.agent_id("w2")) == pset(F, 1)
-    assert p[demo_market.agent_id("w1")].ranked == (pset(F, 0), pset(F, 2), pset(F, 1))
+    assert matched_set(mu_w, demo_market.agent_id("w2")) == pset(1)
+    assert p[demo_market.agent_id("w1")].ranked == (pset(0), pset(2), pset(1))
 
 
 # ---------------------------------------------------------------------------
@@ -205,31 +180,29 @@ subset_masks = st.integers(min_value=0, max_value=(1 << 4) - 1)
 
 @st.composite
 def small_relations(draw):
-    pool = [PartnerSet(W, mask) for mask in range(1, 1 << 4)]
-    entries = draw(st.lists(st.sampled_from(pool), unique_by=lambda s: s.mask, max_size=8))
+    entries = draw(st.lists(st.integers(1, (1 << 4) - 1), unique=True, max_size=8))
     return PreferenceRelation(owner=AgentId(F, 0), ranked=tuple(entries))
 
 
 @given(small_relations(), subset_masks)
-def test_choice_is_idempotent(pref, mask):
-    offer = PartnerSet(W, mask)
-    first = choice(offer, pref)
-    assert choice(first, pref) == first
-    assert first.issubset(offer)
-    assert not first or pref.is_acceptable(first)
+def test_choice_is_idempotent(pref, offer):
+    first = choice_mask(offer, pref)
+    assert choice_mask(first, pref) == first
+    assert first & ~offer == 0
+    assert not first or pref.rank_of(first) is not None
 
 
 @given(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3))))
 def test_matching_view_round_trip(pairs):
     mu = Matching.from_pairs(pairs)
-    firm_views = [(f, w) for f in range(4) for w in matched_set(mu, AgentId(F, f))]
-    worker_views = [(f, w) for w in range(4) for f in matched_set(mu, AgentId(W, w))]
+    firm_views = [(f, w) for f in range(4) for w in bits(matched_set(mu, AgentId(F, f)))]
+    worker_views = [(f, w) for w in range(4) for f in bits(matched_set(mu, AgentId(W, w)))]
     assert Matching.from_pairs(firm_views) == mu
     assert Matching.from_pairs(worker_views) == mu
     # view symmetry: w in mu(f) iff f in mu(w)
     for f, w in pairs:
-        assert w in matched_set(mu, AgentId(F, f))
-        assert f in matched_set(mu, AgentId(W, w))
+        assert matched_set(mu, AgentId(F, f)) >> w & 1
+        assert matched_set(mu, AgentId(W, w)) >> f & 1
 
 
 edge_sets = st.sets(st.tuples(st.integers(0, 4), st.integers(0, 5)))
@@ -240,10 +213,10 @@ def test_matched_set_equals_edge_scan(pairs):
     mu = Matching.from_pairs(pairs)
     for f in range(6):
         want = sum(1 << w for g, w in pairs if g == f)
-        assert matched_set(mu, AgentId(F, f)) == PartnerSet(W, want)
+        assert matched_set(mu, AgentId(F, f)) == want
     for w in range(7):
         want = sum(1 << f for f, v in pairs if v == w)
-        assert matched_set(mu, AgentId(W, w)) == PartnerSet(F, want)
+        assert matched_set(mu, AgentId(W, w)) == want
 
 
 @given(edge_sets, st.integers(0, 3))

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from conftest import random_market_instance
-from manymatch import Matching, ParseError, parse_market, serialize_market
-from manymatch.fileformat import render_matching
+from manymatch import Matching, parse_market
+from manymatch.fileformat import ParseError, render_matching, serialize_market
 from manymatch.markets import manipulation_demo
 
 GOOD_DOC = """\
@@ -25,7 +25,7 @@ class TestParse:
         inst = parse_market(GOOD_DOC)
         assert inst.firm_names == ("f1", "f2")
         f1 = inst.profile[inst.agent_id("f1")]
-        assert [entry.indices() for entry in f1.ranked] == [(0, 1), (0,), (1,)]
+        assert f1.ranked == (0b11, 0b01, 0b10)
 
     def test_comments_blank_lines_and_spacing_tolerated(self):
         noisy = """
@@ -41,7 +41,7 @@ class TestParse:
         """
         inst = parse_market(noisy)
         f1 = inst.profile[inst.agent_id("f1")]
-        assert f1.ranked[0].indices() == (0, 1)  # member order inside a set is free
+        assert f1.ranked[0] == 0b11  # member order inside a set is free
 
     def test_empty_preference_line_allowed(self):
         doc = GOOD_DOC.replace("pref f2: w3", "pref f2:")

@@ -7,34 +7,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pset, random_substitutable_relation, relation, subsets_of
-from manymatch import (
-    AgentId,
-    Matching,
-    OrderVerdict,
-    PartnerSet,
+from manymatch import AgentId, Matching, Side, StableRule, enumerate_stable, verify_gmt
+from manymatch.axioms import check_lad, check_substitutable
+from manymatch.core import (
     PreconditionError,
     PreferenceRelation,
-    Side,
-    StableRule,
     UnsupportedSizeError,
-    apply_rule,
-    candidate_set_H,
-    check_lad,
-    check_substitutable,
-    choice,
-    compare_blair,
-    compare_common,
-    enumerate_stable,
-    evaluate_misreport,
-    gmt_counterexample_check,
-    is_stable,
-    make_misreport,
+    choice_mask,
     matched_set,
     replace_preference,
+)
+from manymatch.manipulation import (
+    candidate_set_H,
+    evaluate_misreport,
+    gmt_counterexample_check,
+    make_misreport,
     restrict_preference,
     truncation_strategy,
-    verify_gmt,
 )
+from manymatch.solver import OrderVerdict, apply_rule, compare_blair, compare_common
+from manymatch.stability import is_stable
 
 from test_stability import (
     DEMO_MU_F,
@@ -48,27 +40,24 @@ W = Side.WORKER
 
 
 def restriction_items_hold(original: PreferenceRelation, restricted: PreferenceRelation,
-                           t: PartnerSet) -> bool:
+                           t: int) -> bool:
     """Direct re-check of the three defining clauses of the restriction."""
     # (i) anything not inside t ranks below the empty set, i.e. is unlisted
-    universe = t.mask
+    universe = t
     for entry in original.ranked:
-        universe |= entry.mask
-    for mask in subsets_of(universe):
-        s = PartnerSet(t.side, mask)
-        if s and not s.issubset(t) and restricted.rank_of(s) is not None:
+        universe |= entry
+    for s in subsets_of(universe):
+        if s and s & ~t and restricted.rank_of(s) is not None:
             return False
     # (ii) acceptability inside t is preserved in both directions
-    for mask in subsets_of(t.mask):
-        s = PartnerSet(t.side, mask)
+    for s in subsets_of(t):
         if not s:
             continue
         if (original.rank_of(s) is not None) != (restricted.rank_of(s) is not None):
             return False
     # (iii) the relative order inside t is preserved
-    for m1 in subsets_of(t.mask):
-        for m2 in subsets_of(t.mask):
-            s1, s2 = PartnerSet(t.side, m1), PartnerSet(t.side, m2)
+    for s1 in subsets_of(t):
+        for s2 in subsets_of(t):
             r1, r2 = original.rank_of(s1), original.rank_of(s2)
             if None in (r1, r2) or not s1 or not s2:
                 continue
@@ -82,32 +71,27 @@ class TestRestrictPreference:
     def test_firms_immune_f1_to_its_firm_optimal_assignment(self, firms_immune_market):
         p = firms_immune_market.profile
         pref = p[AgentId(F, 0)]
-        restricted = restrict_preference(pref, pset(W, 0, 1))
-        assert restricted.ranked == (pset(W, 0, 1), pset(W, 0), pset(W, 1))
+        restricted = restrict_preference(pref, pset(0, 1))
+        assert restricted.ranked == (pset(0, 1), pset(0), pset(1))
 
     def test_restriction_to_full_side_is_identity(self, firms_immune_market):
         p = firms_immune_market.profile
         pref = p[AgentId(F, 0)]
-        full = PartnerSet(W, (1 << 4) - 1)
+        full = (1 << 4) - 1
         assert restrict_preference(pref, full, p_check=False).ranked == pref.ranked
 
     def test_firms_immune_f2_to_single_worker(self, firms_immune_market):
         pref = firms_immune_market.profile[AgentId(F, 1)]
-        assert restrict_preference(pref, pset(W, 2)).ranked == (pset(W, 2),)
+        assert restrict_preference(pref, pset(2)).ranked == (pset(2),)
 
     def test_fixed_point_precondition(self, firms_immune_market):
         # {w3, w4} is not what f2 would choose from {w3, w4}
         pref = firms_immune_market.profile[AgentId(F, 1)]
-        assert choice(pset(W, 2, 3), pref) != pset(W, 2, 3)
+        assert choice_mask(pset(2, 3), pref) != pset(2, 3)
         with pytest.raises(PreconditionError):
-            restrict_preference(pref, pset(W, 2, 3))
-        restricted = restrict_preference(pref, pset(W, 2, 3), p_check=False)
-        assert restricted.ranked == (pset(W, 2), pset(W, 3))
-
-    def test_wrong_side_target_rejected(self, firms_immune_market):
-        pref = firms_immune_market.profile[AgentId(F, 0)]
-        with pytest.raises(ValueError):
-            restrict_preference(pref, pset(F, 0))
+            restrict_preference(pref, pset(2, 3))
+        restricted = restrict_preference(pref, pset(2, 3), p_check=False)
+        assert restricted.ranked == (pset(2), pset(3))
 
 
 class TestCandidateSet:
@@ -133,10 +117,10 @@ class TestTruncationStrategy:
         p = demo_market.profile
         w1 = AgentId(W, 0)
         m = truncation_strategy(w1, DEMO_MU_W, p)
-        assert m.reported.ranked == (pset(F, 0),)
+        assert m.reported.ranked == (pset(0),)
         assert m.axiom_flags.substitutable and m.axiom_flags.lad
         w4 = AgentId(W, 3)
-        assert truncation_strategy(w4, DEMO_MU_W, p).reported.ranked == (pset(F, 2),)
+        assert truncation_strategy(w4, DEMO_MU_W, p).reported.ranked == (pset(2),)
 
     def test_unmatched_agent_reports_empty_list(self, firms_immune_market):
         p = firms_immune_market.profile
@@ -146,7 +130,7 @@ class TestTruncationStrategy:
     def test_firms_immune_f1_reproduces_recorded_misreport(self, firms_immune_market):
         p = firms_immune_market.profile
         m = truncation_strategy(AgentId(F, 0), EX1_MU_F, p)
-        assert m.reported.ranked == (pset(W, 0, 1), pset(W, 0), pset(W, 1))
+        assert m.reported.ranked == (pset(0, 1), pset(0), pset(1))
 
     def test_unstable_target_rejected(self, demo_market):
         unstable = Matching.from_pairs([(0, 2), (0, 3), (1, 1), (2, 0)])
@@ -184,7 +168,7 @@ class TestEvaluateMisreport:
         m = make_misreport(f1, relation(f1, (0, 1), (0,), (1,)))
         outcome = evaluate_misreport(f1, m, StableRule.WORKER_OPTIMAL, p, EX1_MU_W)
         assert outcome.manipulated == Matching.from_pairs([(1, 0), (1, 3), (2, 1), (2, 2)])
-        assert matched_set(outcome.manipulated, f1) == PartnerSet.empty(W)
+        assert matched_set(outcome.manipulated, f1) == 0
         assert outcome.verdict_common is OrderVerdict.WORSE_STRICT
 
     def test_rule_failure_reported_as_outcome_state(self, demo_market):
@@ -220,7 +204,7 @@ class TestVerifyGmt:
         assert v.side_optimum == DEMO_MU_W
         assert len(v.checks) == 1
         check = v.checks[0]
-        assert check.misreport.reported.ranked == (pset(F, 0),)
+        assert check.misreport.reported.ranked == (pset(0),)
         assert check.assertions == (True, True, True, True)
         assert v.all_hold
 
@@ -297,8 +281,8 @@ class TestCounterexampleSearch:
         report = gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, AgentId(W, 0))
         assert report.found_profitable
         reported = {m.misreport.reported.ranked for m in report.profitable}
-        assert (pset(F, 2),) in reported  # keeping only f3 works
-        assert (pset(F, 0),) in reported  # the truncation construction works too
+        assert (pset(2),) in reported  # keeping only f3 works
+        assert (pset(0),) in reported  # the truncation construction works too
 
     def test_blair_profit_implies_list_order_profit(self, demo_market):
         p = demo_market.profile
@@ -400,7 +384,7 @@ def test_restriction_of_substitutable_stays_substitutable(seed, offer_mask):
     # failed the checker; a counterexample here would be a real finding
     rng = random.Random(seed)
     pref = random_substitutable_relation(AgentId(F, 0), 4, rng)
-    t = choice(PartnerSet(W, offer_mask), pref)
+    t = choice_mask(offer_mask, pref)
     restricted = restrict_preference(pref, t)
     assert check_substitutable(restricted).holds
 
@@ -410,9 +394,9 @@ def test_restriction_of_substitutable_stays_substitutable(seed, offer_mask):
 def test_restriction_output_is_well_formed(seed, offer_mask):
     rng = random.Random(seed)
     pref = random_substitutable_relation(AgentId(F, 0), 4, rng)
-    t = choice(PartnerSet(W, offer_mask), pref)
+    t = choice_mask(offer_mask, pref)
     restricted = restrict_preference(pref, t)
-    assert all(entry.issubset(t) for entry in restricted.ranked)
+    assert all(entry & ~t == 0 for entry in restricted.ranked)
     # constructing the relation re-runs the invariant checks; flags recompute
     m = make_misreport(AgentId(F, 0), restricted)
     assert m.axiom_flags.substitutable == check_substitutable(restricted).holds

@@ -1,6 +1,8 @@
 """Bundled markets: documents, axiom profiles, and recorded outcomes."""
 
-from manymatch import Side, check_lad, check_substitutable, parse_market, serialize_market
+from manymatch import Side, parse_market
+from manymatch.axioms import check_lad, check_substitutable
+from manymatch.fileformat import serialize_market
 from manymatch.markets import (
     BUNDLED,
     firms_immune,

@@ -9,21 +9,15 @@ from conftest import random_substitutable_profile, relation
 from manymatch import (
     AgentId,
     Matching,
-    NoStableMatchingError,
-    OrderVerdict,
-    PreconditionError,
     Profile,
     Side,
     StableRule,
-    apply_rule,
-    compare_blair,
-    compare_common,
     deferred_acceptance,
     enumerate_stable,
-    matched_set,
-    replace_preference,
     side_optimal,
 )
+from manymatch.core import NoStableMatchingError, PreconditionError, matched_set, replace_preference
+from manymatch.solver import OrderVerdict, apply_rule, compare_blair, compare_common
 
 from test_stability import (
     DEMO_MU_F,
