@@ -188,15 +188,15 @@ def _counterexample_payload(report: CounterexampleReport, instance: MarketInstan
         "rule_failures": report.rule_failures,
         "profitable": [
             {
-                "reported": _relation_names(finding.misreport.reported, instance),
-                "substitutable": finding.misreport.axiom_flags.substitutable,
-                "lad": finding.misreport.axiom_flags.lad,
-                "matching": matching_to_dict(finding.outcome.manipulated, instance),
-                "verdict_common": finding.outcome.verdict_common.value,
-                "verdict_blair": finding.outcome.verdict_blair.value,
-                "stable_under_truth": finding.outcome.manipulated_stable_under_truth,
+                "reported": _relation_names(outcome.misreport.reported, instance),
+                "substitutable": check_substitutable(outcome.misreport.reported).holds,
+                "lad": check_lad(outcome.misreport.reported).holds,
+                "matching": matching_to_dict(outcome.manipulated, instance),
+                "verdict_common": outcome.verdict_common.value,
+                "verdict_blair": outcome.verdict_blair.value,
+                "stable_under_truth": outcome.manipulated_stable_under_truth,
             }
-            for finding in report.profitable
+            for outcome in report.profitable
         ],
         "search_scope": report.search_scope,
     }
@@ -218,14 +218,14 @@ def _cmd_manipulate(args, instance: MarketInstance) -> tuple[int, dict, list[str
             f"candidates: {report.candidates_total}   evaluated: {report.evaluated}   "
             f"rule failures: {report.rule_failures}")
         lines.append(f"profitable misreports: {len(report.profitable)}")
-        for finding in report.profitable:
-            reported = format_relation(finding.misreport.reported, instance) or "(empty list)"
+        for outcome in report.profitable:
+            reported = format_relation(outcome.misreport.reported, instance) or "(empty list)"
             lines.append(f"  reported: {reported}")
-            lines.append("  " + render_matching(finding.outcome.manipulated, instance).replace("\n", "\n  "))
+            lines.append("  " + render_matching(outcome.manipulated, instance).replace("\n", "\n  "))
             lines.append(
-                f"  verdicts: list-order={finding.outcome.verdict_common.value} "
-                f"blair={finding.outcome.verdict_blair.value} "
-                f"stable-under-truth={'yes' if finding.outcome.manipulated_stable_under_truth else 'no'}")
+                f"  verdicts: list-order={outcome.verdict_common.value} "
+                f"blair={outcome.verdict_blair.value} "
+                f"stable-under-truth={'yes' if outcome.manipulated_stable_under_truth else 'no'}")
         lines.append(f"scope: {report.search_scope}")
     return 0, payload, lines
 
@@ -248,9 +248,9 @@ def _gmt_payload(v: GmtVerification, instance: MarketInstance) -> dict:
         "targets": [
             {
                 "target": matching_to_dict(check.target, instance),
-                "reported": _relation_names(check.misreport.reported, instance),
-                "substitutable": check.misreport.axiom_flags.substitutable,
-                "lad": check.misreport.axiom_flags.lad,
+                "reported": _relation_names(check.outcome.misreport.reported, instance),
+                "substitutable": check_substitutable(check.outcome.misreport.reported).holds,
+                "lad": check_lad(check.outcome.misreport.reported).holds,
                 "gmt_assertions": list(check.assertions),
             }
             for check in v.checks
@@ -268,7 +268,7 @@ def _gmt_text(v: GmtVerification, instance: MarketInstance) -> list[str]:
     for check in v.checks:
         target = format_partner_set(matched_set(check.target, v.agent),
                                     instance.side_names(v.agent.side.opposite))
-        reported = format_relation(check.misreport.reported, instance) or "(empty list)"
+        reported = format_relation(check.outcome.misreport.reported, instance) or "(empty list)"
         lines.append(f"  target assignment: {{{target}}}  reported: {reported}")
         for label, ok in zip(_ASSERTION_LABELS, check.assertions):
             lines.append(f"  [{'PASS' if ok else 'FAIL'}] {label}")

@@ -2,6 +2,11 @@
 targets, misreport evaluation, the manipulability-construction verifier, and
 an exhaustive counterexample search for markets where the construction fails.
 
+Every evaluated report is one ``ManipulationOutcome``: the misreport, the
+rule's output under it, and that output judged under the agent's true
+relation.  The verifier's four assertions and the search's profitable
+findings are read off these records.
+
 The central construction: when a rule assigns an agent less than its
 side-optimal stable assignment, the agent reports its true relation
 restricted to the assignment of a Blair-better stable matching.  That target
@@ -40,25 +45,11 @@ SUBLIST_ENTRY_CAP = 14
 
 
 @dataclass(frozen=True)
-class AxiomFlags:
-    substitutable: bool
-    lad: bool
-
-
-@dataclass(frozen=True)
 class Misreport:
     """A reported relation for one agent."""
 
     agent: AgentId
     reported: PreferenceRelation
-
-    @property
-    def axiom_flags(self) -> AxiomFlags:
-        """The axioms the reported relation satisfies, checked on demand."""
-        return AxiomFlags(
-            substitutable=check_substitutable(self.reported).holds,
-            lad=check_lad(self.reported).holds,
-        )
 
 
 def make_misreport(agent: AgentId, reported: PreferenceRelation) -> Misreport:
@@ -69,12 +60,12 @@ def make_misreport(agent: AgentId, reported: PreferenceRelation) -> Misreport:
 
 @dataclass(frozen=True)
 class ManipulationOutcome:
-    """Rule output under truth vs. under one misreport, judged at the agent
-    under its TRUE relation.  ``failure`` is set when the rule could not
-    produce a matching from the reported profile; the other result fields are
-    then None."""
+    """The rule's output under one misreport, judged at the agent under its
+    TRUE relation against the rule's truthful output.  ``failure`` is set
+    when the rule could not produce a matching from the reported profile; the
+    other result fields are then None."""
 
-    baseline: Matching
+    misreport: Misreport
     manipulated: Matching | None = None
     verdict_common: OrderVerdict | None = None
     verdict_blair: OrderVerdict | None = None
@@ -86,16 +77,12 @@ class ManipulationOutcome:
         return self.verdict_common is OrderVerdict.BETTER_STRICT
 
 
-def restrict_preference(
-    pref: PreferenceRelation, t: int, p_check: bool = True
-) -> PreferenceRelation:
+def restrict_preference(pref: PreferenceRelation, t: int) -> PreferenceRelation:
     """The relation declaring unacceptable every set not contained in the
-    mask ``t``, preserving acceptability and order inside ``t``.
-
-    With ``p_check`` on, ``t`` must be a fixed point of the agent's choice
-    (the standing condition under which restriction is used as a strategy).
-    """
-    if p_check and choice_mask(t, pref) != t:
+    mask ``t``, preserving acceptability and order inside ``t``.  ``t`` must
+    be a fixed point of the agent's choice (the standing condition under
+    which restriction is used as a strategy)."""
+    if choice_mask(t, pref) != t:
         raise PreconditionError(
             "restriction target is not a choice fixed point for {agent}", pref.owner
         )
@@ -119,8 +106,7 @@ def truncation_strategy(a: AgentId, mu: Matching, p: Profile) -> Misreport:
     the (stable) target matching ``mu``."""
     if not is_stable(mu, p):
         raise PreconditionError("truncation target is not stable for {agent}", a)
-    reported = restrict_preference(p[a], matched_set(mu, a), p_check=True)
-    return make_misreport(a, reported)
+    return make_misreport(a, restrict_preference(p[a], matched_set(mu, a)))
 
 
 def evaluate_misreport(
@@ -130,13 +116,20 @@ def evaluate_misreport(
     under the true relation against ``baseline``, the rule's output on
     ``p_true``; flag whether the manipulated matching is even stable under
     the truth (it need not be)."""
-    swapped = replace_preference(p_true, a, m.reported)
+    return _outcome(m, rule, p_true, replace_preference(p_true, a, m.reported), baseline)
+
+
+def _outcome(
+    m: Misreport, rule: StableRule, p_true: Profile, swapped: Profile, baseline: Matching
+) -> ManipulationOutcome:
+    """``evaluate_misreport`` on an already swapped profile."""
+    a = m.agent
     try:
         manipulated = apply_rule(rule, swapped)
     except (PreconditionError, NoStableMatchingError) as exc:
-        return ManipulationOutcome(baseline=baseline, failure=str(exc))
+        return ManipulationOutcome(misreport=m, failure=str(exc))
     return ManipulationOutcome(
-        baseline=baseline,
+        misreport=m,
         manipulated=manipulated,
         verdict_common=compare_common(manipulated, baseline, a, p_true),
         verdict_blair=compare_blair(manipulated, baseline, a, p_true),
@@ -146,23 +139,23 @@ def evaluate_misreport(
 
 @dataclass(frozen=True)
 class GmtCheck:
-    """The four assertions of the manipulability construction for one target."""
+    """The manipulability construction for one target: the truncation
+    report's outcome and whether the target stays stable under that report."""
 
     target: Matching
-    misreport: Misreport
     outcome: ManipulationOutcome
     target_stable_under_report: bool
-    rule_matches_target: bool
-    blair_improves: bool
-    common_improves: bool
 
     @property
     def assertions(self) -> tuple[bool, bool, bool, bool]:
+        """Target stable under the report; the rule hands the agent exactly
+        the target assignment; strict gains in the Blair and list orders."""
+        a, manipulated = self.outcome.misreport.agent, self.outcome.manipulated
         return (
             self.target_stable_under_report,
-            self.rule_matches_target,
-            self.blair_improves,
-            self.common_improves,
+            manipulated is not None and matched_set(manipulated, a) == matched_set(self.target, a),
+            self.outcome.verdict_blair is OrderVerdict.BETTER_STRICT,
+            self.outcome.verdict_common is OrderVerdict.BETTER_STRICT,
         )
 
     @property
@@ -181,7 +174,8 @@ class GmtVerification:
 
     @property
     def all_hold(self) -> bool:
-        return all(c.all_hold for c in self.checks)
+        """Every check holds, and an applicable verification has a check."""
+        return (bool(self.checks) or not self.applicable) and all(c.all_hold for c in self.checks)
 
 
 def _truthful_standing(
@@ -197,21 +191,16 @@ def _truthful_standing(
 
 
 def verify_gmt(
-    a: AgentId,
-    rule: StableRule,
-    p: Profile,
-    *,
-    all_candidates: bool = False,
-    require_axioms: bool = True,
+    a: AgentId, rule: StableRule, p: Profile, *, require_axioms: bool = True
 ) -> GmtVerification:
     """Run the manipulability construction for one agent and record whether
     each of its four assertions holds.
 
     Not applicable when the rule already gives the agent its side-optimal
-    assignment.  By default the construction targets the side-optimum; with
-    ``all_candidates`` it sweeps every Blair-better stable matching.  The
-    axiom precondition can be disabled to watch the construction fail on
-    profiles outside its domain.
+    assignment.  The construction targets the side-optimum; when no stable
+    matching is side-optimal, it targets every Blair-better stable matching
+    (``candidate_set_H``) in canonical order.  The axiom precondition can be
+    disabled to watch the construction fail on profiles outside its domain.
     """
     if require_axioms:
         for agent in p.agents():
@@ -223,7 +212,7 @@ def verify_gmt(
     baseline, optimum, applicable = _truthful_standing(a, rule, p)
     if not applicable:
         targets = ()
-    elif all_candidates or optimum is None:
+    elif optimum is None:
         targets = candidate_set_H(a, baseline, p)
     else:
         targets = (optimum,)
@@ -231,33 +220,13 @@ def verify_gmt(
     checks = []
     for target in targets:
         misreport = truncation_strategy(a, target, p)
-        outcome = evaluate_misreport(a, misreport, rule, p, baseline)
         swapped = replace_preference(p, a, misreport.reported)
-        rule_matches = (
-            outcome.manipulated is not None
-            and matched_set(outcome.manipulated, a) == matched_set(target, a)
-        )
-        checks.append(
-            GmtCheck(
-                target=target,
-                misreport=misreport,
-                outcome=outcome,
-                target_stable_under_report=is_stable(target, swapped),
-                rule_matches_target=rule_matches,
-                blair_improves=outcome.verdict_blair is OrderVerdict.BETTER_STRICT,
-                common_improves=outcome.verdict_common is OrderVerdict.BETTER_STRICT,
-            )
-        )
+        outcome = _outcome(misreport, rule, p, swapped, baseline)
+        checks.append(GmtCheck(target, outcome, is_stable(target, swapped)))
     return GmtVerification(
         agent=a, rule=rule, applicable=applicable, baseline=baseline,
         side_optimum=optimum, checks=tuple(checks),
     )
-
-
-@dataclass(frozen=True)
-class MisreportFinding:
-    misreport: Misreport
-    outcome: ManipulationOutcome
 
 
 @dataclass(frozen=True)
@@ -272,12 +241,8 @@ class CounterexampleReport:
     candidates_total: int
     evaluated: int
     rule_failures: int
-    profitable: tuple[MisreportFinding, ...]
+    profitable: tuple[ManipulationOutcome, ...]
     search_scope: str
-
-    @property
-    def found_profitable(self) -> bool:
-        return bool(self.profitable)
 
 
 def _all_relations(owner: AgentId, opposite_count: int) -> list[PreferenceRelation]:
@@ -348,21 +313,17 @@ def gmt_counterexample_check(
             "relations outside the true list were not searched"
         )
 
-    evaluated = 0
     rule_failures = 0
     profitable = []
     for reported in candidates:
-        misreport = make_misreport(a, reported)
-        outcome = evaluate_misreport(a, misreport, rule, p, baseline)
+        outcome = evaluate_misreport(a, make_misreport(a, reported), rule, p, baseline)
         if outcome.failure is not None:
             rule_failures += 1
-            continue
-        evaluated += 1
-        if outcome.profitable:
-            profitable.append(MisreportFinding(misreport=misreport, outcome=outcome))
+        elif outcome.profitable:
+            profitable.append(outcome)
 
     return CounterexampleReport(
         agent=a, rule=rule, mode=mode, not_applicable=False, baseline=baseline,
-        candidates_total=len(candidates), evaluated=evaluated,
+        candidates_total=len(candidates), evaluated=len(candidates) - rule_failures,
         rule_failures=rule_failures, profitable=tuple(profitable), search_scope=scope,
     )

@@ -20,13 +20,7 @@ from functools import lru_cache
 from .axioms import check_lad
 from .core import MarketInstance, Matching, PreferenceRelation
 from .fileformat import firm_partners, format_partner_set, parse_market
-from .manipulation import (
-    evaluate_misreport,
-    gmt_counterexample_check,
-    make_misreport,
-    truncation_strategy,
-    verify_gmt,
-)
+from .manipulation import evaluate_misreport, gmt_counterexample_check, make_misreport, verify_gmt
 from .solver import OrderVerdict, StableRule, apply_rule
 from .stability import blocking_pairs, enumerate_stable
 
@@ -176,9 +170,11 @@ def _firms_immune_checks() -> list[BundledCheck]:
         "f3": ("f1=w3 w4, f2=w1 w2, f3=∅", OrderVerdict.EQUAL),
     }
     for name, (expected_mu, expected_verdict) in expected_outcomes.items():
-        agent = inst.agent_id(name)
-        misreport = truncation_strategy(agent, mu_f, p)
-        outcome = evaluate_misreport(agent, misreport, StableRule.WORKER_OPTIMAL, p, mu_w)
+        # the construction with the aggregate-demand gate off: each firm
+        # truncates to its firm-optimal assignment against worker-optimal
+        verification = verify_gmt(inst.agent_id(name), StableRule.WORKER_OPTIMAL, p,
+                                  require_axioms=False)
+        outcome = verification.checks[0].outcome
         checks.append(BundledCheck(
             "firms-immune", f"{name} truncates to its firm-optimal assignment: matching",
             expected_mu, compact_matching(outcome.manipulated, inst)))

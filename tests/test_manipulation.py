@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pset, random_substitutable_relation, relation, subsets_of
-from manymatch import AgentId, Matching, Side, StableRule, enumerate_stable, verify_gmt
+from manymatch import (
+    AgentId,
+    Matching,
+    Side,
+    StableRule,
+    enumerate_stable,
+    parse_market,
+    side_optimal,
+    verify_gmt,
+)
 from manymatch.axioms import check_lad, check_substitutable
 from manymatch.core import (
     PreconditionError,
@@ -37,6 +46,19 @@ from test_stability import (
 
 F = Side.FIRM
 W = Side.WORKER
+
+# No stable matching is best for every worker: seed 14 of
+# conftest.random_market_instance, whose firm1 list is not substitutable.
+NO_WORKER_OPTIMUM = """\
+firms: firm1
+workers: wk1 wk2 wk3 wk4 wk5
+pref firm1: wk2 wk4 wk5 | wk1 wk5 | wk2 wk3 | wk3
+pref wk1: firm1
+pref wk2: firm1
+pref wk3: firm1
+pref wk4: firm1
+pref wk5: firm1
+"""
 
 
 def restriction_items_hold(original: PreferenceRelation, restricted: PreferenceRelation,
@@ -74,12 +96,6 @@ class TestRestrictPreference:
         restricted = restrict_preference(pref, pset(0, 1))
         assert restricted.ranked == (pset(0, 1), pset(0), pset(1))
 
-    def test_restriction_to_full_side_is_identity(self, firms_immune_market):
-        p = firms_immune_market.profile
-        pref = p[AgentId(F, 0)]
-        full = (1 << 4) - 1
-        assert restrict_preference(pref, full, p_check=False).ranked == pref.ranked
-
     def test_firms_immune_f2_to_single_worker(self, firms_immune_market):
         pref = firms_immune_market.profile[AgentId(F, 1)]
         assert restrict_preference(pref, pset(2)).ranked == (pset(2),)
@@ -90,8 +106,6 @@ class TestRestrictPreference:
         assert choice_mask(pset(2, 3), pref) != pset(2, 3)
         with pytest.raises(PreconditionError):
             restrict_preference(pref, pset(2, 3))
-        restricted = restrict_preference(pref, pset(2, 3), p_check=False)
-        assert restricted.ranked == (pset(2), pset(3))
 
 
 class TestCandidateSet:
@@ -118,7 +132,7 @@ class TestTruncationStrategy:
         w1 = AgentId(W, 0)
         m = truncation_strategy(w1, DEMO_MU_W, p)
         assert m.reported.ranked == (pset(0),)
-        assert m.axiom_flags.substitutable and m.axiom_flags.lad
+        assert check_substitutable(m.reported).holds and check_lad(m.reported).holds
         w4 = AgentId(W, 3)
         assert truncation_strategy(w4, DEMO_MU_W, p).reported.ranked == (pset(2),)
 
@@ -144,21 +158,21 @@ class TestEvaluateMisreport:
         w1 = AgentId(W, 0)
         m = make_misreport(w1, relation(w1, (2,)))
         outcome = evaluate_misreport(w1, m, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
-        assert outcome.baseline == DEMO_MU_F
+        assert outcome.misreport is m
         assert outcome.manipulated == Matching.from_pairs([(0, 2), (0, 3), (1, 1), (2, 0)])
         assert outcome.verdict_common is OrderVerdict.BETTER_STRICT
         assert outcome.verdict_blair is OrderVerdict.BETTER_STRICT
         assert outcome.manipulated_stable_under_truth is False
-        # the stored verdicts are recomputable from the stored matchings
-        assert compare_common(outcome.manipulated, outcome.baseline, w1, p) is outcome.verdict_common
-        assert compare_blair(outcome.manipulated, outcome.baseline, w1, p) is outcome.verdict_blair
+        # the stored verdicts are recomputable from the manipulated matching
+        assert compare_common(outcome.manipulated, DEMO_MU_F, w1, p) is outcome.verdict_common
+        assert compare_blair(outcome.manipulated, DEMO_MU_F, w1, p) is outcome.verdict_blair
 
     def test_truthful_report_changes_nothing(self, demo_market):
         p = demo_market.profile
         w1 = AgentId(W, 0)
         truthful = make_misreport(w1, p[w1])
         outcome = evaluate_misreport(w1, truthful, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
-        assert outcome.manipulated == outcome.baseline
+        assert outcome.manipulated == DEMO_MU_F
         assert outcome.verdict_common is OrderVerdict.EQUAL
         assert outcome.verdict_blair is OrderVerdict.EQUAL
 
@@ -176,7 +190,7 @@ class TestEvaluateMisreport:
         p = demo_market.profile
         w1 = AgentId(W, 0)
         m = make_misreport(w1, relation(w1, (0, 2)))
-        assert not m.axiom_flags.substitutable
+        assert not check_substitutable(m.reported).holds
         outcome = evaluate_misreport(w1, m, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
         assert outcome.failure is not None
         assert outcome.manipulated is None
@@ -204,7 +218,7 @@ class TestVerifyGmt:
         assert v.side_optimum == DEMO_MU_W
         assert len(v.checks) == 1
         check = v.checks[0]
-        assert check.misreport.reported.ranked == (pset(0),)
+        assert check.outcome.misreport.reported.ranked == (pset(0),)
         assert check.assertions == (True, True, True, True)
         assert v.all_hold
 
@@ -221,11 +235,41 @@ class TestVerifyGmt:
         assert not v.applicable
         assert v.checks == ()
 
-    def test_all_candidates_sweep(self, demo_market):
-        p = demo_market.profile
-        v = verify_gmt(AgentId(W, 0), StableRule.FIRM_OPTIMAL, p, all_candidates=True)
-        assert v.applicable and len(v.checks) >= 1
-        assert v.all_hold
+    def test_no_side_optimum_targets_every_blair_better_matching(self, monkeypatch):
+        import manymatch.manipulation as manipulation
+
+        # the three stable matchings give firm1 {wk2 wk4 wk5}, {wk1 wk5} and
+        # {wk2 wk3}; none is best for every worker
+        p = parse_market(NO_WORKER_OPTIMUM).profile
+        assert side_optimal(enumerate_stable(p), p, W) is None
+        wk5 = AgentId(W, 4)
+        rule = StableRule.SELECT_FIRST
+        baseline = apply_rule(rule, p)
+        profiles = []
+
+        def counting_apply_rule(r, q):
+            profiles.append(q)
+            return apply_rule(r, q)
+
+        monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
+        v = verify_gmt(wk5, rule, p, require_axioms=False)
+        assert v.applicable and v.side_optimum is None
+        assert len(v.checks) == 2
+        assert tuple(c.target for c in v.checks) == candidate_set_H(wk5, baseline, p)
+        # the truthful rule runs once, then once per check on its report
+        assert sum(q is p for q in profiles) == 1
+        assert len(profiles) == 1 + len(v.checks)
+
+    def test_no_side_optimum_and_no_target_does_not_hold(self):
+        # select-first gives wk2 its best stable assignment, yet no stable
+        # matching is best for every worker, so the construction applies
+        # with nothing to check
+        p = parse_market(NO_WORKER_OPTIMUM).profile
+        wk2 = AgentId(W, 1)
+        v = verify_gmt(wk2, StableRule.SELECT_FIRST, p, require_axioms=False)
+        assert v.applicable and v.side_optimum is None
+        assert v.checks == ()
+        assert not v.all_hold
 
     def test_axiom_precondition_enforced(self, firms_immune_market):
         with pytest.raises(PreconditionError, match="aggregate demand"):
@@ -240,18 +284,14 @@ class TestVerifyGmt:
         assert v.applicable
         check = v.checks[0]
         assert check.target == EX1_MU_F
-        assert check.target_stable_under_report is True
-        assert check.rule_matches_target is False
-        assert check.blair_improves is False
-        assert check.common_improves is False
+        assert check.assertions == (True, False, False, False)
 
     def test_workers_immune_construction_fails_without_lad(self, workers_immune_market):
         p = workers_immune_market.profile
         v = verify_gmt(AgentId(W, 0), StableRule.FIRM_OPTIMAL, p, require_axioms=False)
         assert v.applicable
         check = v.checks[0]
-        assert check.target_stable_under_report is True
-        assert check.rule_matches_target is False
+        assert check.assertions[:2] == (True, False)
         assert not v.all_hold
 
 
@@ -279,17 +319,17 @@ class TestCounterexampleSearch:
     def test_demo_w1_sublist_search_finds_the_profitable_misreports(self, demo_market):
         p = demo_market.profile
         report = gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, AgentId(W, 0))
-        assert report.found_profitable
-        reported = {m.misreport.reported.ranked for m in report.profitable}
+        assert report.profitable
+        reported = {outcome.misreport.reported.ranked for outcome in report.profitable}
         assert (pset(2),) in reported  # keeping only f3 works
         assert (pset(0),) in reported  # the truncation construction works too
 
     def test_blair_profit_implies_list_order_profit(self, demo_market):
         p = demo_market.profile
         report = gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, AgentId(W, 0))
-        for finding in report.profitable:
-            if finding.outcome.verdict_blair is OrderVerdict.BETTER_STRICT:
-                assert finding.outcome.verdict_common is OrderVerdict.BETTER_STRICT
+        for outcome in report.profitable:
+            if outcome.verdict_blair is OrderVerdict.BETTER_STRICT:
+                assert outcome.verdict_common is OrderVerdict.BETTER_STRICT
 
     def test_agent_at_optimum_reports_not_applicable(self, demo_market):
         p = demo_market.profile
@@ -315,11 +355,6 @@ class TestCounterexampleSearch:
         # every other call is one candidate's report
         assert len(profiles) == 1 + report.candidates_total
 
-        profiles.clear()
-        verification = verify_gmt(AgentId(W, 0), rule, p, all_candidates=True)
-        assert sum(q is p for q in profiles) == 1
-        assert len(profiles) == 1 + len(verification.checks)
-
     def test_exhaustive_cap(self, firms_immune_market):
         p = firms_immune_market.profile
         with pytest.raises(UnsupportedSizeError):
@@ -327,7 +362,7 @@ class TestCounterexampleSearch:
                                      exhaustive=True)
 
     @pytest.mark.parametrize("rule", list(StableRule))
-    def test_exhaustive_cap_checked_before_the_rule_runs(self, monkeypatch, demo_market, rule):
+    def test_exhaustive_cap_enforced_before_the_rule_runs(self, monkeypatch, demo_market, rule):
         import manymatch.manipulation as manipulation
 
         def no_apply_rule(*args):
@@ -338,7 +373,7 @@ class TestCounterexampleSearch:
         with pytest.raises(UnsupportedSizeError, match="at most 3 agents, got 4"):
             gmt_counterexample_check(demo_market.profile, rule, AgentId(F, 0), exhaustive=True)
 
-    def test_sublist_cap_checked_before_the_rule_runs(self, monkeypatch, demo_market):
+    def test_sublist_cap_enforced_before_the_rule_runs(self, monkeypatch, demo_market):
         import manymatch.manipulation as manipulation
 
         def no_apply_rule(*args):
@@ -397,7 +432,3 @@ def test_restriction_output_is_well_formed(seed, offer_mask):
     t = choice_mask(offer_mask, pref)
     restricted = restrict_preference(pref, t)
     assert all(entry & ~t == 0 for entry in restricted.ranked)
-    # constructing the relation re-runs the invariant checks; flags recompute
-    m = make_misreport(AgentId(F, 0), restricted)
-    assert m.axiom_flags.substitutable == check_substitutable(restricted).holds
-    assert m.axiom_flags.lad == check_lad(restricted).holds
