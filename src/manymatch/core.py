@@ -9,13 +9,18 @@ owning agent's opposite side, capped at 32 agents per side; the owner gives
 the mask its side.
 
 All values are immutable after construction and all operations are pure.
+``PreferenceRelation`` and ``Profile`` key the package's caches, so each
+keeps its hash, computed on first use, in a private non-field attribute;
+equality stays the generated one.  No hash in this module covers a string or
+enum hash (those vary with ``PYTHONHASHSEED``), so a kept hash that ``pickle``
+carries to another process of the same interpreter build stays valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 MAX_SIDE = 32
 
@@ -36,6 +41,17 @@ def transpose(masks: Iterable[int], size: int) -> list[int]:
         for j in bits(mask & ((1 << size) - 1)):
             out[j] |= 1 << i
     return out
+
+
+def _hash_once(key: Callable[..., tuple]) -> Callable[..., int]:
+    """A ``__hash__`` that hashes ``key(self)`` once and keeps it in the instance."""
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(key(self)))
+            return self._hash
+    return __hash__
 
 
 class MatchingError(Exception):
@@ -90,6 +106,9 @@ class AgentId:
     def __str__(self) -> str:
         return f"{self.side.value} {self.index}"
 
+    def __hash__(self) -> int:
+        return hash((self.side is Side.WORKER, self.index))
+
 
 @dataclass(frozen=True)
 class PreferenceRelation:
@@ -110,6 +129,8 @@ class PreferenceRelation:
                                  f"{self.owner} (nonempty, capacity {MAX_SIDE} per side)")
         if len(set(self.ranked)) != len(self.ranked):
             raise ValueError(f"duplicate entry in preference of {self.owner}")
+
+    __hash__ = _hash_once(lambda pref: (pref.owner, pref.ranked))
 
     def rank_of(self, subset: int) -> int | None:
         """Position of the mask ``subset`` in the order; len(ranked) for the
@@ -143,11 +164,13 @@ class Profile:
             (Side.WORKER, self.worker_prefs, len(self.firm_prefs)),
         ):
             for i, pref in enumerate(prefs):
-                if pref.owner != AgentId(side, i):
+                if pref.owner.side is not side or pref.owner.index != i:
                     raise ValueError(f"preference at {side.value} slot {i} owned by {pref.owner}")
-                for entry in pref.ranked:
-                    if entry >> opp_count:
-                        raise ValueError(f"preference of {pref.owner} references unknown partners")
+                # exact: an entry names an unknown partner iff it is >= 1 << opp_count
+                if max(pref.ranked, default=0) >> opp_count:
+                    raise ValueError(f"preference of {pref.owner} references unknown partners")
+
+    __hash__ = _hash_once(lambda p: (p.firm_prefs, p.worker_prefs))
 
     @property
     def num_firms(self) -> int:

@@ -203,11 +203,11 @@ def verify_gmt(
     disabled to watch the construction fail on profiles outside its domain.
     """
     if require_axioms:
-        for agent in p.agents():
-            if not check_substitutable(p[agent]).holds:
-                raise PreconditionError("{agent} fails substitutability", agent)
-            if not check_lad(p[agent]).holds:
-                raise PreconditionError("{agent} fails the law of aggregate demand", agent)
+        for pref in p.firm_prefs + p.worker_prefs:
+            if not check_substitutable(pref).holds:
+                raise PreconditionError("{agent} fails substitutability", pref.owner)
+            if not check_lad(pref).holds:
+                raise PreconditionError("{agent} fails the law of aggregate demand", pref.owner)
 
     baseline, optimum, applicable = _truthful_standing(a, rule, p)
     if not applicable:

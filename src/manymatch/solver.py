@@ -49,10 +49,10 @@ def deferred_acceptance(p: Profile, proposing: Side) -> Matching:
     Every agent's relation must be substitutable (checked); the algorithm's
     optimality guarantee does not survive without it.
     """
-    for a in p.agents():
-        if not check_substitutable(p[a]).holds:
+    for pref in p.firm_prefs + p.worker_prefs:
+        if not check_substitutable(pref).holds:
             raise PreconditionError(
-                "deferred acceptance requires substitutability; {agent} fails it", a)
+                "deferred acceptance requires substitutability; {agent} fails it", pref.owner)
 
     if proposing is Side.FIRM:
         prop_prefs, resp_prefs = p.firm_prefs, p.worker_prefs

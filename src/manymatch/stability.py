@@ -55,8 +55,8 @@ def is_individually_rational(mu: Matching, p: Profile) -> tuple[bool, tuple[Agen
     """True when no agent would drop part of its own assignment."""
     firm_views, worker_views = _views(mu, p)
     violators = tuple(
-        a for a, view in zip(p.agents(), firm_views + worker_views)
-        if choice_mask(view, p[a]) != view
+        pref.owner for pref, view in zip(p.firm_prefs + p.worker_prefs, firm_views + worker_views)
+        if choice_mask(view, pref) != view
     )
     return (not violators, violators)
 

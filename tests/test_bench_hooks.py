@@ -9,9 +9,11 @@ suite rather than in the benchmark's own self-test.
 
 import importlib
 import os
+import pkgutil
 
 import pytest
 
+import manymatch
 from manymatch import axioms, stability
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,3 +44,25 @@ def test_benchmark_caches_expose_clear_and_info(cached):
 def test_enumeration_cache_reset_exists():
     # workloads.reset_caches empties the enumeration cache through it
     assert callable(stability.clear_enumeration_cache)
+
+
+def test_package_caches_are_exactly_the_known_ones():
+    # perfbench resets the three result caches so that every op starts cold;
+    # the bundled-market loaders hold no result computed from an input
+    # market.  A new result cache that the benchmark does not reset fails
+    # here by name instead of quietly warming a "cold" workload.
+    found = set()
+    modules = [manymatch] + [importlib.import_module(f"manymatch.{info.name}")
+                             for info in pkgutil.iter_modules(manymatch.__path__)]
+    for module in modules:
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                found.add(f"{value.__module__}.{value.__qualname__}")
+    assert found == {
+        "manymatch.axioms.check_substitutable",
+        "manymatch.axioms.check_lad",
+        "manymatch.stability._enumerate_cached",
+        "manymatch.markets.manipulation_demo",
+        "manymatch.markets.firms_immune",
+        "manymatch.markets.workers_immune",
+    }

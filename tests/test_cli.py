@@ -57,10 +57,42 @@ def f2_not_substitutable_file(tmp_path):
     return str(path)
 
 
+# f2 and w1 both list only their pair, so both fail substitutability; every
+# precondition scans firms before workers and names f2
+F2_AND_W1_NOT_SUBSTITUTABLE_DOC = """\
+firms: f1 f2
+workers: w1 w2
+pref f1: w1 | w2
+pref f2: w1 w2
+pref w1: f1 f2
+pref w2: f2 | f1
+"""
+
+
+@pytest.fixture
+def f2_and_w1_not_substitutable_file(tmp_path):
+    path = tmp_path / "two_failing.market"
+    path.write_text(F2_AND_W1_NOT_SUBSTITUTABLE_DOC, encoding="utf-8")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--rule", "worker-optimal"],
+     "error: deferred acceptance requires substitutability; f2 fails it\n"),
+    (["verify-gmt", "--rule", "firm-optimal", "--agent", "f1"],
+     "error: f2 fails substitutability\n"),
+], ids=["solve", "verify-gmt"])
+def test_precondition_names_the_first_failing_firm_before_any_worker(
+        capsys, f2_and_w1_not_substitutable_file, argv, message):
+    code, _, err = run(capsys, argv[0], f2_and_w1_not_substitutable_file, *argv[1:])
+    assert code == 3
+    assert err == message
 
 
 class TestSolve:

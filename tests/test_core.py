@@ -1,10 +1,17 @@
 """Core types: choice evaluation, matching views, profile surgery."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import pset, relation
 from manymatch import AgentId, Matching, Profile, Side
+from manymatch.axioms import check_substitutable
 from manymatch.core import (
     MAX_SIDE,
     MarketInstance,
@@ -81,12 +88,28 @@ class TestProfile:
         with pytest.raises(ValueError):
             Profile((good, good), (relation(AgentId(W, 0), (0,)),))
 
+    @pytest.mark.parametrize("owner, message", [
+        (AgentId(F, 1), "preference at firm slot 0 owned by firm 1"),
+        (AgentId(W, 0), "preference at firm slot 0 owned by worker 0"),
+    ])
+    def test_owner_slot_mismatch_names_slot_and_owner(self, owner, message):
+        with pytest.raises(ValueError) as exc_info:
+            Profile((relation(owner, (0,)),), (relation(AgentId(W, 0), (0,)),))
+        assert str(exc_info.value) == message
+
     def test_out_of_range_member_rejected(self):
         with pytest.raises(ValueError):
             Profile(
                 (relation(AgentId(F, 0), (5,)),),
                 (relation(AgentId(W, 0), (0,)),),
             )
+
+    @pytest.mark.parametrize("ranked", [((0,), (0, 2)), ((2,), (0, 1)), ((0, 1), (2,))])
+    def test_out_of_range_member_rejected_in_any_entry(self, ranked):
+        with pytest.raises(ValueError) as exc_info:
+            Profile((relation(AgentId(F, 0), *ranked),),
+                    (relation(AgentId(W, 0), (0,)), relation(AgentId(W, 1), (0,))))
+        assert str(exc_info.value) == "preference of firm 0 references unknown partners"
 
     def test_replace_preference_is_functional(self):
         p = two_by_two_profile()
@@ -108,6 +131,54 @@ class TestProfile:
         p = two_by_two_profile()
         with pytest.raises(ValueError):
             replace_preference(p, AgentId(F, 0), relation(AgentId(F, 1), (0,)))
+
+
+# Each builds a new value equal to the last one it built.
+HASHED_TYPES = {
+    "AgentId": lambda: AgentId(W, 3),
+    "PreferenceRelation": lambda: relation(AgentId(F, 0), (0, 1), (0,), (1,)),
+    "Profile": two_by_two_profile,
+}
+
+
+class TestCachedHash:
+    @pytest.mark.parametrize("make", HASHED_TYPES.values(), ids=HASHED_TYPES.keys())
+    def test_equal_values_hash_equal_before_and_after_copy_and_pickle(self, make):
+        hashed, other = make(), make()
+        assert hashed is not other and hashed == other
+        expected = hash(other)
+        assert hash(hashed) == expected
+        # a copy of a hashed relation or profile carries the kept hash; one
+        # of an unhashed value computes its own
+        for source in (hashed, make()):
+            for clone in (copy.copy(source), pickle.loads(pickle.dumps(source))):
+                assert clone == other
+                assert hash(clone) == expected
+
+    def test_relation_hash_does_not_depend_on_the_hash_seed(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = ("from manymatch.core import AgentId, PreferenceRelation, Side\n"
+                "print(hash(PreferenceRelation(AgentId(Side.WORKER, 2), (3, 1, 2))))")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        here = hash(PreferenceRelation(AgentId(W, 2), (3, 1, 2)))
+        assert outputs == [f"{here}\n", f"{here}\n"]
+
+    def test_equal_relation_is_a_substitutability_cache_hit(self):
+        # sweep markets share entries of the axiom cache through equal relations
+        first = relation(AgentId(W, 5), (0, 4), (4,), (0,), (2, 3))
+        report = check_substitutable(first)
+        hits = check_substitutable.cache_info().hits
+        second = relation(AgentId(W, 5), (0, 4), (4,), (0,), (2, 3))
+        assert second is not first
+        assert check_substitutable(second) is report
+        assert check_substitutable.cache_info().hits == hits + 1
 
 
 class TestMatching:
