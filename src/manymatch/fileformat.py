@@ -12,8 +12,8 @@ The format mirrors the list notation used throughout the package::
 Each agent gets exactly one ``pref`` line; alternatives are separated by
 ``|`` and members inside an alternative by whitespace.  The empty set is
 never written (an agent with no acceptable set gets an empty right-hand
-side), alternatives must be distinct, names may not contain ``:`` or ``|``,
-and at most 32 agents per side are allowed.
+side), alternatives must be distinct, names may not contain ``:``, ``|`` or
+``∅`` (the empty-set sign in output), and at most 32 agents per side are allowed.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def parse_market(text: str) -> MarketInstance:
                 raise ParseError(f"duplicate '{label}:' line", lineno)
             names = body.split()
             for name in names:
-                if ":" in name or "|" in name:
-                    raise ParseError(f"agent name {name!r} may not contain ':' or '|'",
+                if ":" in name or "|" in name or EMPTY_SET_TEXT in name:
+                    raise ParseError(f"agent name {name!r} may not contain ':', '|' or '∅'",
                                      lineno, _column(body, raw.find(":") + 1, name))
             declared[label] = names
         elif line.startswith("pref "):

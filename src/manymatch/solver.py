@@ -3,8 +3,10 @@
 The proposing side offers its choice set from the partners it has not yet
 been rejected by; the other side holds its choice set among current offerers
 and rejects the rest.  Rejections accumulate and never shrink, so the loop
-finishes after at most n*m rejection events.  Under substitutable preferences
-the result is the proposing side's optimal stable matching.
+finishes after at most n*m rejection events.  Offers and holds carry over
+between rounds: a round re-evaluates only the proposers rejected in the round
+before and the responders whose offer set changed.  Under substitutable
+preferences the result is the proposing side's optimal stable matching.
 """
 
 from __future__ import annotations
@@ -47,7 +49,11 @@ def deferred_acceptance(p: Profile, proposing: Side) -> Matching:
     """Run deferred acceptance with ``proposing`` as the offering side.
 
     Every agent's relation must be substitutable (checked); the algorithm's
-    optimality guarantee does not survive without it.
+    optimality guarantee does not survive without it.  The rounds are those of
+    a loop that re-evaluates everyone, but a round after the first evaluates
+    only the proposers rejected in the round before and the responders whose
+    offer set changed: a proposer at most once more than it is rejected, and
+    at most n*m rejections in all.
     """
     for pref in p.firm_prefs + p.worker_prefs:
         if not check_substitutable(pref).holds:
@@ -59,21 +65,26 @@ def deferred_acceptance(p: Profile, proposing: Side) -> Matching:
     else:
         prop_prefs, resp_prefs = p.worker_prefs, p.firm_prefs
     n_prop, n_resp = len(prop_prefs), len(resp_prefs)
-    resp_full = (1 << n_resp) - 1
 
-    rejected = [0] * n_prop
-    while True:
-        offers = [choice_mask(resp_full & ~rejected[i], prop_prefs[i]) for i in range(n_prop)]
-        offered_by = transpose(offers, n_resp)
-        holds = [choice_mask(offered_by[j], resp_prefs[j]) for j in range(n_resp)]
-        new_rejection = False
-        for j in range(n_resp):
-            for i in bits(offered_by[j] & ~holds[j]):
-                if not rejected[i] >> j & 1:
-                    rejected[i] |= 1 << j
-                    new_rejection = True
-        if not new_rejection:
-            break
+    allowed = [(1 << n_resp) - 1] * n_prop  # responders that have not rejected i
+    offers, offered_by, holds = [0] * n_prop, [0] * n_resp, [0] * n_resp
+    rejected = (1 << n_prop) - 1  # proposers to re-evaluate: every one in the first round
+    while rejected:
+        changed = 0
+        for i in bits(rejected):
+            diff = choice_mask(allowed[i], prop_prefs[i]) ^ offers[i]
+            offers[i] ^= diff
+            changed |= diff
+            for j in bits(diff):
+                offered_by[j] ^= 1 << i
+        rejected = 0
+        # an unchanged offer set rejected no one last round (rejected offers are withdrawn)
+        for j in bits(changed):
+            holds[j] = choice_mask(offered_by[j], resp_prefs[j])
+            out = offered_by[j] & ~holds[j]
+            for i in bits(out):
+                allowed[i] &= ~(1 << j)
+            rejected |= out
 
     # Every held offer was made, so the holds are the matching's edges.
     return Matching(tuple(holds) if proposing is Side.WORKER else tuple(transpose(holds, n_prop)))
@@ -115,15 +126,24 @@ def compare_blair(mu1: Matching, mu2: Matching, a: AgentId, p: Profile) -> Order
 
 def side_optimal(ss: tuple[Matching, ...], p: Profile, side: Side) -> Matching | None:
     """The member every agent on ``side`` weakly prefers to every member, or
-    None when no member dominates (possible off the substitutable domain)."""
-    agents = [AgentId(side, i) for i in range(p.side_count(side))]
-    good = (OrderVerdict.BETTER_STRICT, OrderVerdict.EQUAL)
-    for candidate in ss:
-        if all(
-            compare_common(candidate, other, a, p) in good for other in ss for a in agents
-        ):
-            return candidate
-    return None
+    None when no member dominates (possible off the substitutable domain).
+    As ``compare_common`` decides it, an agent given two or more distinct
+    sets needs the one it ranks best, and that one must be listed or empty."""
+    disputed = 0  # the agents on ``side`` whom the members give two or more distinct sets
+    for mu in ss[1:]:
+        for f in range(max(len(mu.rows), len(ss[0].rows))):
+            diff = mu.row(f) ^ ss[0].row(f)
+            if diff:
+                disputed |= 1 << f if side is Side.FIRM else diff
+    targets = []
+    for i in bits(disputed & ((1 << p.side_count(side)) - 1)):
+        a = AgentId(side, i)
+        listed = {p[a].rank_of(s): s for s in {matched_set(mu, a) for mu in ss}}
+        listed.pop(None, None)
+        if not listed:
+            return None
+        targets.append((a, listed[min(listed)]))
+    return next((mu for mu in ss if all(matched_set(mu, a) == s for a, s in targets)), None)
 
 
 def apply_rule(rule: StableRule, p: Profile) -> Matching:

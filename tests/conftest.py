@@ -3,8 +3,10 @@
 The oracles here stay deliberately independent of the package's fast paths:
 stability is re-derived from the definitions via a plain-Python scan, the law
 of aggregate demand via an all-subset-pairs check, both axioms' first
-witnesses via nested scans of every offer and removal, and responsiveness via
-the pairwise swap/add conditions.
+witnesses via nested scans of every offer and removal, responsiveness via
+the pairwise swap/add conditions, deferred acceptance via a loop that
+re-evaluates every agent in every round, and the side optimum via
+``compare_common`` over every pair of members.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import pytest
 
 from manymatch import AgentId, Matching, Profile, QuotaRanking, Side, responsive_preference
 from manymatch.axioms import check_substitutable
-from manymatch.core import PreferenceRelation, choice_mask
+from manymatch.core import PreconditionError, PreferenceRelation, bits, choice_mask, transpose
+from manymatch.solver import OrderVerdict, compare_common
 from manymatch.stability import is_stable
 from manymatch.markets import firms_immune, manipulation_demo, workers_immune
 
@@ -44,6 +47,54 @@ def brute_stable_matchings(p: Profile) -> list[Matching]:
         if is_stable(mu, p):
             out.append(mu)
     return out
+
+
+def plain_deferred_acceptance(p: Profile, proposing: Side) -> tuple[Matching, list[int]]:
+    """Deferred acceptance that re-evaluates every proposer and every
+    responder in every round.  Returns the matching and, per proposer, the
+    mask of responders that rejected it."""
+    for pref in p.firm_prefs + p.worker_prefs:
+        if not check_substitutable(pref).holds:
+            raise PreconditionError(
+                "deferred acceptance requires substitutability; {agent} fails it", pref.owner)
+
+    if proposing is Side.FIRM:
+        prop_prefs, resp_prefs = p.firm_prefs, p.worker_prefs
+    else:
+        prop_prefs, resp_prefs = p.worker_prefs, p.firm_prefs
+    n_prop, n_resp = len(prop_prefs), len(resp_prefs)
+    resp_full = (1 << n_resp) - 1
+
+    rejected = [0] * n_prop
+    while True:
+        offers = [choice_mask(resp_full & ~rejected[i], prop_prefs[i]) for i in range(n_prop)]
+        offered_by = transpose(offers, n_resp)
+        holds = [choice_mask(offered_by[j], resp_prefs[j]) for j in range(n_resp)]
+        new_rejection = False
+        for j in range(n_resp):
+            for i in bits(offered_by[j] & ~holds[j]):
+                if not rejected[i] >> j & 1:
+                    rejected[i] |= 1 << j
+                    new_rejection = True
+        if not new_rejection:
+            break
+
+    # Every held offer was made, so the holds are the matching's edges.
+    mu = Matching(tuple(holds) if proposing is Side.WORKER else tuple(transpose(holds, n_prop)))
+    return mu, rejected
+
+
+def pairwise_side_optimal(ss: tuple[Matching, ...], p: Profile, side: Side) -> Matching | None:
+    """The first member that ``compare_common`` rates better than or equal
+    to every member at every agent on ``side``, or None."""
+    agents = [AgentId(side, i) for i in range(p.side_count(side))]
+    good = (OrderVerdict.BETTER_STRICT, OrderVerdict.EQUAL)
+    for candidate in ss:
+        if all(
+            compare_common(candidate, other, a, p) in good for other in ss for a in agents
+        ):
+            return candidate
+    return None
 
 
 def subsets_of(mask: int):

@@ -147,6 +147,9 @@ class TestParse:
         ("firms: a:b\nworkers: w\npref a:b: w\npref w: a:b\n", 1, 8, "a:b"),
         # would otherwise be accepted but could never appear in a pref line
         ("firms: f1\n  workers: w1 f|1\npref f1:\npref w1:\n", 2, 15, "f|1"),
+        # would otherwise render f1's match to it like f1 being unmatched
+        ("firms: f1 f2\nworkers: ∅ w2\npref f1: ∅\npref f2:\npref ∅: f1\npref w2:\n",
+         2, 10, "∅"),
     ])
     def test_declared_name_with_separator_rejected(self, doc, line, column, name):
         with pytest.raises(ParseError, match="may not contain") as exc_info:

@@ -1,20 +1,30 @@
 """Deferred acceptance, order comparisons, and stable rules."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_substitutable_profile, relation
+from conftest import (
+    pairwise_side_optimal,
+    plain_deferred_acceptance,
+    random_profile,
+    random_substitutable_profile,
+    relation,
+)
 from manymatch import (
     AgentId,
     Matching,
     Profile,
+    QuotaRanking,
     Side,
     StableRule,
     deferred_acceptance,
     enumerate_stable,
+    responsive_preference,
     side_optimal,
+    solver,
 )
 from manymatch.core import NoStableMatchingError, PreconditionError, matched_set, replace_preference
 from manymatch.solver import OrderVerdict, apply_rule, compare_blair, compare_common
@@ -233,9 +243,85 @@ def _matching_from_mask(mask, num_workers):
     return Matching.from_pairs(pairs)
 
 
-def test_rejections_bound_round_count(demo_market):
-    # structural termination: rejections are cumulative, so the loop ends
-    # after at most n*m rejection events; here we just confirm determinism
-    p = demo_market.profile
-    assert deferred_acceptance(p, F) == deferred_acceptance(p, F)
-    assert deferred_acceptance(p, W) == deferred_acceptance(p, W)
+def _responsive_square(seed: int, n: int, quota: int) -> Profile:
+    """An n x n market in which every agent ranks the whole opposite side
+    at random and takes its best ``quota`` of any offer."""
+    rng = random.Random(seed)
+    prefs = {
+        side: tuple(
+            responsive_preference(QuotaRanking(AgentId(side, i), tuple(rng.sample(range(n), n)),
+                                               quota))
+            for i in range(n)
+        )
+        for side in (F, W)
+    }
+    return Profile(prefs[F], prefs[W])
+
+
+def test_da_equals_plain_loop(responsive_corpus):
+    profiles = [random_substitutable_profile(random.Random(5000 + seed), max_side=4)
+                for seed in range(500)]
+    profiles += [p for p, _, _ in responsive_corpus]
+    for k, p in enumerate(profiles):
+        for side in (F, W):
+            assert deferred_acceptance(p, side) == plain_deferred_acceptance(p, side)[0], (k, side)
+
+
+def test_rejections_bound_round_count(demo_market, monkeypatch):
+    # Rejections are cumulative, so there are at most n*m of them.  A
+    # proposer is evaluated in the first round and after that only in a
+    # round that follows one rejecting it: at most 1 + its rejections times.
+    # A loop that re-evaluates every proposer in every round breaks this.
+    real = solver.choice_mask
+    rejections = 0
+    for p in (demo_market.profile, _responsive_square(7, 12, 3)):
+        for side in (F, W):
+            expected, rejected = plain_deferred_acceptance(p, side)
+            calls = Counter()
+
+            def counting(offer, pref):
+                calls[pref.owner] += 1
+                return real(offer, pref)
+
+            with monkeypatch.context() as m:
+                m.setattr(solver, "choice_mask", counting)
+                assert deferred_acceptance(p, side) == expected
+            for i, r in enumerate(rejected):
+                assert 1 <= calls[AgentId(side, i)] <= 1 + r.bit_count(), (side, i)
+            rejections += sum(r.bit_count() for r in rejected)
+    assert rejections > 0
+
+
+def _assert_side_optimal_is_pairwise(ss, p) -> list:
+    """Both sides' results, after checking that each is the very member (or
+    None) that the pairwise definition returns."""
+    out = []
+    for side in (F, W):
+        got = side_optimal(ss, p, side)
+        assert got is pairwise_side_optimal(ss, p, side), (ss, side)
+        out.append(got)
+    return out
+
+
+def test_side_optimal_equals_pairwise_on_stable_sets():
+    results = []
+    for seed in range(500):
+        p = random_profile(random.Random(6000 + seed))
+        results += _assert_side_optimal_is_pairwise(enumerate_stable(p), p)
+    assert None in results
+    assert any(r is not None for r in results)
+
+
+def test_side_optimal_equals_pairwise_on_hand_built_tuples():
+    results = []
+    for seed in range(500):
+        rng = random.Random(7000 + seed)
+        p = random_profile(rng)
+        edges = p.num_firms * p.num_workers
+        ss = tuple(
+            _matching_from_mask(rng.getrandbits(edges), p.num_workers)
+            for _ in range(rng.randint(2, 4))
+        )
+        results += _assert_side_optimal_is_pairwise(ss, p)
+    assert None in results
+    assert any(r is not None for r in results)
