@@ -3,7 +3,11 @@
 For every market, rule, and agent that receives less than its side-optimal
 stable assignment, run the four-assertion verifier and tally the results.
 With substitutability and the law of aggregate demand both guaranteed by the
-generator, every applicable pair should pass.
+generator, every applicable pair should pass.  A market that exceeds one of
+the package's size limits is counted as refused and skipped.
+
+Exit codes: 0 every pair passed; 1 an assertion failed; 2 usage error; 3 no
+assertion failed but some market was refused by a size limit.
 
 Usage: python scripts/manipulability_sweep.py --markets 200 --seed 7
 """
@@ -25,6 +29,7 @@ from manymatch import (
     responsive_preference,
     verify_gmt,
 )
+from manymatch.core import UnsupportedSizeError
 
 
 def random_market(rng: random.Random, max_side: int) -> Profile:
@@ -63,20 +68,23 @@ def main() -> None:
     multi_stable = 0
     applicable = 0
     failures = []
+    refused = []
 
     for index in range(args.markets):
         p = random_market(rng, args.max_side)
-        ss = enumerate_stable(p)
-        if len(ss) >= 2:
-            multi_stable += 1
-        for rule in StableRule:
-            for a in p.agents():
-                v = verify_gmt(a, rule, p)
-                if not v.applicable:
-                    continue
-                applicable += 1
-                if not v.all_hold:
-                    failures.append((index, rule.value, str(a)))
+        try:
+            multi = len(enumerate_stable(p)) >= 2
+            verifications = [verify_gmt(a, rule, p) for rule in StableRule for a in p.agents()]
+        except UnsupportedSizeError as exc:
+            refused.append((index, p.num_firms, p.num_workers, exc))
+            continue
+        multi_stable += multi
+        for v in verifications:
+            if not v.applicable:
+                continue
+            applicable += 1
+            if not v.all_hold:
+                failures.append((index, v.rule.value, str(v.agent)))
 
     elapsed = time.monotonic() - start
     print(f"markets: {args.markets}   with >=2 stable matchings: {multi_stable}")
@@ -84,8 +92,11 @@ def main() -> None:
     print(f"assertion failures: {len(failures)}")
     for index, rule, agent in failures[:10]:
         print(f"  market {index} rule {rule} agent {agent}")
+    print(f"markets refused by a size limit: {len(refused)}")
+    for index, n, m, exc in refused[:3]:
+        print(f"  market {index} ({n} x {m}): {exc}")
     print(f"elapsed: {elapsed:.1f}s")
-    raise SystemExit(1 if failures else 0)
+    raise SystemExit(1 if failures else 3 if refused else 0)
 
 
 if __name__ == "__main__":

@@ -203,12 +203,8 @@ def _counterexample_payload(report: CounterexampleReport, instance: MarketInstan
 
 
 def _cmd_manipulate(args, instance: MarketInstance) -> tuple[int, dict, list[str]]:
-    try:
-        agent = instance.agent_id(args.agent)
-    except KeyError as exc:
-        raise ParseError(str(exc.args[0])) from exc
-    report = gmt_counterexample_check(instance.profile, _RULES[args.rule], agent,
-                                      exhaustive=args.exhaustive)
+    report = gmt_counterexample_check(instance.profile, _RULES[args.rule],
+                                      instance.agent_id(args.agent), exhaustive=args.exhaustive)
     payload = _counterexample_payload(report, instance)
     lines = [f"agent: {args.agent}   rule: {args.rule}   mode: {report.mode}"]
     if report.not_applicable:
@@ -278,13 +274,7 @@ def _gmt_text(v: GmtVerification, instance: MarketInstance) -> list[str]:
 def _cmd_verify_gmt(args, instance: MarketInstance) -> tuple[int, dict, list[str]]:
     p = instance.profile
     rule = _RULES[args.rule]
-    if args.all_agents:
-        agents = list(p.agents())
-    else:
-        try:
-            agents = [instance.agent_id(args.agent)]
-        except KeyError as exc:
-            raise ParseError(str(exc.args[0])) from exc
+    agents = list(p.agents()) if args.all_agents else [instance.agent_id(args.agent)]
 
     verifications = [verify_gmt(a, rule, p) for a in agents]
     payload = {"rule": args.rule, "agents": [_gmt_payload(v, instance) for v in verifications]}

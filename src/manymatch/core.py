@@ -282,7 +282,7 @@ class MarketInstance:
             return AgentId(Side.FIRM, self.firm_names.index(name))
         if name in self.worker_names:
             return AgentId(Side.WORKER, self.worker_names.index(name))
-        raise KeyError(f"unknown agent name {name!r}")
+        raise MatchingError(f"unknown agent name {name!r}")
 
     def name_of(self, agent: AgentId) -> str:
         names = self.firm_names if agent.side is Side.FIRM else self.worker_names

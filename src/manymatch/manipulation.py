@@ -18,6 +18,7 @@ aggregate demand; the bundled markets show it breaking without the latter.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -38,10 +39,9 @@ from .core import (
 from .solver import OrderVerdict, StableRule, apply_rule, compare_blair, compare_common, side_optimal
 from .stability import enumerate_stable, is_stable
 
-EXHAUSTIVE_OPPOSITE_CAP = 3
-# The sublist search evaluates all 2^len(list) sublists of the true list;
-# 2^14 = 16,384 is the scale of the 13,700 lists the exhaustive cap allows.
-SUBLIST_ENTRY_CAP = 14
+# The most reports one misreport search tries: all 2^14 sublists of a
+# 14-entry list, or the 13,700 strict lists over a 3-agent opposite side.
+CANDIDATE_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -245,27 +245,35 @@ class CounterexampleReport:
     search_scope: str
 
 
-def _all_relations(owner: AgentId, opposite_count: int) -> list[PreferenceRelation]:
-    """Every strict list of distinct nonempty subsets of the opposite side."""
-    pool = []
-    for size in range(1, opposite_count + 1):
-        for members in combinations(range(opposite_count), size):
-            pool.append(sum(1 << i for i in members))
-    relations = []
-    for length in range(len(pool) + 1):
-        for ranked in permutations(pool, length):
-            relations.append(PreferenceRelation(owner=owner, ranked=ranked))
-    return relations
+def _all_relations(owner: AgentId, opposite_count: int) -> tuple[int, Iterator[PreferenceRelation]]:
+    """Every strict list of distinct nonempty subsets of the opposite side,
+    shortest first, and their number: the sum over l of P!/(P-l)! for P
+    subsets, counted only until it passes ``CANDIDATE_CAP``."""
+    sets = (1 << opposite_count) - 1
+    count = term = 1
+    for taken in range(sets):
+        if count > CANDIDATE_CAP:
+            break
+        term *= sets - taken
+        count += term
+
+    def relations() -> Iterator[PreferenceRelation]:
+        pool = [sum(1 << i for i in members) for size in range(1, opposite_count + 1)
+                for members in combinations(range(opposite_count), size)]
+        for length in range(sets + 1):
+            for ranked in permutations(pool, length):
+                yield PreferenceRelation(owner=owner, ranked=ranked)
+
+    return count, relations()
 
 
-def _sublist_relations(pref: PreferenceRelation) -> list[PreferenceRelation]:
-    """Every order-preserving deletion of entries from the true list."""
+def _sublist_relations(pref: PreferenceRelation) -> tuple[int, Iterator[PreferenceRelation]]:
+    """Every order-preserving sublist of the true list, by keep mask, and their number."""
     entries = pref.ranked
-    relations = []
-    for keep in range(1 << len(entries)):
-        ranked = tuple(entries[i] for i in bits(keep))
-        relations.append(PreferenceRelation(owner=pref.owner, ranked=ranked))
-    return relations
+    return 1 << len(entries), (
+        PreferenceRelation(owner=pref.owner, ranked=tuple(entries[i] for i in bits(keep)))
+        for keep in range(1 << len(entries))
+    )
 
 
 def gmt_counterexample_check(
@@ -273,45 +281,27 @@ def gmt_counterexample_check(
 ) -> CounterexampleReport:
     """Search ``a``'s misreports for one that strictly improves its outcome.
 
-    Exhaustive mode enumerates every strict preference list over the opposite
-    side (only feasible for opposite sides of at most three agents); otherwise
-    the search covers the sublists of the true list (at most 14 entries long),
-    and the report says so.  Both caps are checked before any work.
-    Candidates the rule cannot process (a no-longer-substitutable report fed
-    to deferred acceptance, or a reported profile with no stable matching)
-    count as rule failures, never as profitable.
+    Exhaustive mode tries every strict preference list over the opposite
+    side; otherwise the order-preserving sublists of the true list, and the
+    report says so.  A search that would try more than ``CANDIDATE_CAP``
+    reports is refused before any work.  Reports the rule cannot process (a
+    no-longer-substitutable list fed to deferred acceptance, or a profile
+    with no stable matching) count as rule failures, never as profitable.
     """
-    opposite_count = p.side_count(a.side.opposite)
-    if exhaustive and opposite_count > EXHAUSTIVE_OPPOSITE_CAP:
-        raise UnsupportedSizeError(
-            f"exhaustive misreport search supports opposite sides of at most "
-            f"{EXHAUSTIVE_OPPOSITE_CAP} agents, got {opposite_count}"
-        )
-    if not exhaustive and len(p[a].ranked) > SUBLIST_ENTRY_CAP:
-        raise UnsupportedSizeError(
-            f"sublist misreport search supports true lists of at most "
-            f"{SUBLIST_ENTRY_CAP} entries, got {len(p[a].ranked)}"
-        )
+    if exhaustive:
+        mode, scope = "exhaustive", "all strict preference lists over the opposite side"
+        total, candidates = _all_relations(a, p.side_count(a.side.opposite))
+    else:
+        mode, scope = "sublists", ("order-preserving sublists of the true list only; "
+                                   "relations outside the true list were not searched")
+        total, candidates = _sublist_relations(p[a])
+    if total > CANDIDATE_CAP:
+        raise UnsupportedSizeError(f"{mode} misreport search for {{agent}} would try more "
+                                   f"than {CANDIDATE_CAP} candidates", a)
     baseline, _, applicable = _truthful_standing(a, rule, p)
     if not applicable:
-        return CounterexampleReport(
-            agent=a, rule=rule, mode="exhaustive" if exhaustive else "sublists",
-            not_applicable=True, baseline=baseline, candidates_total=0,
-            evaluated=0, rule_failures=0, profitable=(),
-            search_scope="agent already receives its side-optimal assignment",
-        )
-
-    if exhaustive:
-        candidates = _all_relations(a, opposite_count)
-        mode = "exhaustive"
-        scope = "all strict preference lists over the opposite side"
-    else:
-        candidates = _sublist_relations(p[a])
-        mode = "sublists"
-        scope = (
-            "order-preserving sublists of the true list only; "
-            "relations outside the true list were not searched"
-        )
+        total, candidates = 0, ()
+        scope = "agent already receives its side-optimal assignment"
 
     rule_failures = 0
     profitable = []
@@ -323,7 +313,7 @@ def gmt_counterexample_check(
             profitable.append(outcome)
 
     return CounterexampleReport(
-        agent=a, rule=rule, mode=mode, not_applicable=False, baseline=baseline,
-        candidates_total=len(candidates), evaluated=len(candidates) - rule_failures,
+        agent=a, rule=rule, mode=mode, not_applicable=not applicable, baseline=baseline,
+        candidates_total=total, evaluated=total - rule_failures,
         rule_failures=rule_failures, profitable=tuple(profitable), search_scope=scope,
     )

@@ -284,7 +284,8 @@ class TestManipulate:
         code, _, err = run(capsys, "manipulate", demo_file,
                            "--agent", "f1", "--rule", rule, "--exhaustive")
         assert code == 3
-        assert "at most 3 agents, got 4" in err
+        assert err == ("error: exhaustive misreport search for f1 "
+                       "would try more than 16384 candidates\n")
 
     def test_sublist_search_over_a_long_list_exits_3_before_any_work(self, capsys, tmp_path):
         # quota 2 over 8 workers: f1 lists 28 pairs and 8 singletons, 2^36 sublists
@@ -303,7 +304,8 @@ class TestManipulate:
                            "--agent", "f1", "--rule", "worker-optimal")
         assert time.monotonic() - start < 1.0
         assert code == 3
-        assert "true lists of at most 14 entries, got 36" in err
+        assert err == ("error: sublists misreport search for f1 "
+                       "would try more than 16384 candidates\n")
 
 
 class TestVerifyGmt:

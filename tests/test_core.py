@@ -15,6 +15,7 @@ from manymatch.axioms import check_substitutable
 from manymatch.core import (
     MAX_SIDE,
     MarketInstance,
+    MatchingError,
     PreferenceRelation,
     bits,
     choice_mask,
@@ -219,7 +220,7 @@ class TestMarketInstance:
         assert demo_market.agent_id("f2") == AgentId(F, 1)
         assert demo_market.agent_id("w4") == AgentId(W, 3)
         assert demo_market.name_of(AgentId(W, 0)) == "w1"
-        with pytest.raises(KeyError):
+        with pytest.raises(MatchingError, match="^unknown agent name 'nobody'$"):
             demo_market.agent_id("nobody")
 
     def test_duplicate_names_rejected(self):

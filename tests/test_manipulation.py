@@ -2,6 +2,7 @@
 manipulability-construction verifier."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from conftest import pset, random_substitutable_relation, relation, subsets_of
 from manymatch import (
     AgentId,
     Matching,
+    Profile,
     Side,
     StableRule,
     enumerate_stable,
@@ -370,8 +372,10 @@ class TestCounterexampleSearch:
 
         monkeypatch.setattr(manipulation, "apply_rule", no_apply_rule)
         # f1 faces 4 workers; it is at its optimum under firm-optimal
-        with pytest.raises(UnsupportedSizeError, match="at most 3 agents, got 4"):
+        with pytest.raises(UnsupportedSizeError, match="^exhaustive misreport search for "
+                           "firm 0 would try more than 16384 candidates$") as refusal:
             gmt_counterexample_check(demo_market.profile, rule, AgentId(F, 0), exhaustive=True)
+        assert refusal.value.agent == AgentId(F, 0)
 
     def test_sublist_cap_enforced_before_the_rule_runs(self, monkeypatch, demo_market):
         import manymatch.manipulation as manipulation
@@ -384,8 +388,62 @@ class TestCounterexampleSearch:
         everything = relation(AgentId(F, 0), *(
             [i for i in range(4) if mask >> i & 1] for mask in range(15, 0, -1)))
         p = replace_preference(demo_market.profile, AgentId(F, 0), everything)
-        with pytest.raises(UnsupportedSizeError, match="at most 14 entries, got 15"):
+        with pytest.raises(UnsupportedSizeError, match="^sublists misreport search for "
+                           "firm 0 would try more than 16384 candidates$") as refusal:
             gmt_counterexample_check(p, StableRule.WORKER_OPTIMAL, AgentId(F, 0))
+        assert refusal.value.agent == AgentId(F, 0)
+
+    @pytest.mark.parametrize("exhaustive, agent, entries, refused", [
+        # w1 faces 3 firms: 13,700 lists; f1 faces 4 workers: about 3.6e12
+        (True, AgentId(W, 0), None, False),
+        (True, AgentId(F, 0), None, True),
+        # 2^14 sublists are allowed, 2^15 are not
+        (False, AgentId(F, 0), 14, False),
+        (False, AgentId(F, 0), 15, True),
+    ])
+    def test_candidate_cap_boundary(self, monkeypatch, demo_market, exhaustive, agent,
+                                    entries, refused):
+        import manymatch.manipulation as manipulation
+
+        class ReachedTheSearch(Exception):
+            pass
+
+        def sentinel(*args):
+            raise ReachedTheSearch
+
+        monkeypatch.setattr(manipulation, "_truthful_standing", sentinel)
+        p = demo_market.profile
+        if entries is not None:
+            sets = [[i for i in range(4) if mask >> i & 1] for mask in range(15, 0, -1)]
+            p = replace_preference(p, agent, relation(agent, *sets[:entries]))
+        expected = UnsupportedSizeError if refused else ReachedTheSearch
+        with pytest.raises(expected):
+            gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, agent, exhaustive=exhaustive)
+
+    @pytest.mark.parametrize("opposite_count, total", [(1, 2), (2, 16), (3, 13_700)])
+    def test_exhaustive_count_is_the_number_of_candidates(self, opposite_count, total):
+        from manymatch.manipulation import _all_relations
+
+        count, candidates = _all_relations(AgentId(F, 0), opposite_count)
+        candidates = list(candidates)
+        assert count == len(candidates) == total
+        assert len(set(candidates)) == total
+
+    @pytest.mark.parametrize("entries", range(11))
+    def test_sublist_count_is_the_number_of_candidates(self, entries):
+        from manymatch.manipulation import _sublist_relations
+
+        true = PreferenceRelation(owner=AgentId(F, 0), ranked=tuple(range(1, entries + 1)))
+        count, candidates = _sublist_relations(true)
+        assert count == len(list(candidates)) == 1 << entries
+
+    def test_exhaustive_search_over_32_agents_refuses_at_once(self):
+        p = Profile((relation(AgentId(F, 0)),),
+                    tuple(relation(AgentId(W, j)) for j in range(32)))
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedSizeError, match="^exhaustive misreport search"):
+            gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, AgentId(F, 0), exhaustive=True)
+        assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------------------------------

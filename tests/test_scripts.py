@@ -25,11 +25,23 @@ def test_manipulability_sweep_small_run():
     lines = run_sweep("--markets", "50", "--seed", "7").stdout.splitlines()
     assert "applicable (agent, rule) pairs: 8" in lines
     assert "assertion failures: 0" in lines
+    assert "markets refused by a size limit: 0" in lines
 
 
 def test_manipulability_sweep_on_markets_up_to_six_a_side():
     lines = run_sweep("--markets", "20", "--max-side", "6").stdout.splitlines()
     assert "assertion failures: 0" in lines
+
+
+def test_manipulability_sweep_counts_a_market_over_a_size_limit_as_refused():
+    # at seed 7, market 3 draws 17 firms, and a worker listing all 17 passes CHECK_CAP
+    proc = run_sweep("--markets", "4", "--seed", "7", "--max-side", "17", expect=3)
+    lines = proc.stdout.splitlines()
+    assert "assertion failures: 0" in lines
+    assert "markets refused by a size limit: 1" in lines
+    assert lines[lines.index("markets refused by a size limit: 1") + 1].startswith(
+        "  market 3 (17 x 4): axiom checks scan all subsets")
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("args, complaint", [
