@@ -18,9 +18,10 @@ aggregate demand; the bundled markets show it breaking without the latter.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Hashable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import TypeVar
 
 from .axioms import check_lad, check_substitutable
 from .core import (
@@ -42,6 +43,8 @@ from .stability import enumerate_stable, is_stable
 # The most reports one misreport search tries: all 2^14 sublists of a
 # 14-entry list, or the 13,700 strict lists over a 3-agent opposite side.
 CANDIDATE_CAP = 1 << 14
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -178,16 +181,46 @@ class GmtVerification:
         return (bool(self.checks) or not self.applicable) and all(c.all_hold for c in self.checks)
 
 
+def _kept(p: Profile, key: Hashable, compute: Callable[[], _T]) -> _T:
+    """``compute()``, kept under ``key`` in the memo dict that ``p`` carries
+    outside its fields (see ``core``).  A ``compute()`` that raises stores
+    nothing, so the next call raises again."""
+    try:
+        memo = p._memo
+    except AttributeError:
+        memo = {}
+        object.__setattr__(p, "_memo", memo)
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 def _truthful_standing(
     a: AgentId, rule: StableRule, p: Profile
 ) -> tuple[Matching, Matching | None, bool]:
     """The rule's truthful output, ``a``'s side-optimal stable matching (None
     when no member dominates), and whether the construction applies: the
-    rule gives ``a`` something other than its side-optimal assignment."""
-    baseline = apply_rule(rule, p)
-    optimum = side_optimal(enumerate_stable(p), p, a.side)
+    rule gives ``a`` something other than its side-optimal assignment.
+
+    The output and the optimum depend on the profile alone, so they are kept
+    on ``p`` (by rule and by side) for every later agent of the same profile
+    object; a swapped profile is a new object and starts with none."""
+    baseline = _kept(p, rule, lambda: apply_rule(rule, p))
+    optimum = _kept(p, a.side, lambda: side_optimal(enumerate_stable(p), p, a.side))
     applicable = optimum is None or matched_set(baseline, a) != matched_set(optimum, a)
     return baseline, optimum, applicable
+
+
+def _axiom_failure(p: Profile) -> tuple[str, AgentId] | None:
+    """The first relation, firms first, failing substitutability or else the
+    law of aggregate demand, as an error template and its agent; None when
+    every relation satisfies both."""
+    for pref in p.firm_prefs + p.worker_prefs:
+        if not check_substitutable(pref).holds:
+            return "{agent} fails substitutability", pref.owner
+        if not check_lad(pref).holds:
+            return "{agent} fails the law of aggregate demand", pref.owner
+    return None
 
 
 def verify_gmt(
@@ -200,14 +233,13 @@ def verify_gmt(
     assignment.  The construction targets the side-optimum; when no stable
     matching is side-optimal, it targets every Blair-better stable matching
     (``candidate_set_H``) in canonical order.  The axiom precondition can be
-    disabled to watch the construction fail on profiles outside its domain.
+    disabled to watch the construction fail on profiles outside its domain;
+    when enabled, its verdict is kept on ``p`` like the truthful standing.
     """
     if require_axioms:
-        for pref in p.firm_prefs + p.worker_prefs:
-            if not check_substitutable(pref).holds:
-                raise PreconditionError("{agent} fails substitutability", pref.owner)
-            if not check_lad(pref).holds:
-                raise PreconditionError("{agent} fails the law of aggregate demand", pref.owner)
+        failure = _kept(p, "axioms", lambda: _axiom_failure(p))
+        if failure is not None:
+            raise PreconditionError(*failure)
 
     baseline, optimum, applicable = _truthful_standing(a, rule, p)
     if not applicable:

@@ -15,7 +15,6 @@ the golden tests need no external files:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .axioms import check_lad
 from .core import MarketInstance, Matching, PreferenceRelation
@@ -60,17 +59,14 @@ pref w4: f1 | f2
 """
 
 
-@lru_cache(maxsize=None)
 def manipulation_demo() -> MarketInstance:
     return parse_market(_MANIPULATION_DEMO)
 
 
-@lru_cache(maxsize=None)
 def firms_immune() -> MarketInstance:
     return parse_market(_FIRMS_IMMUNE)
 
 
-@lru_cache(maxsize=None)
 def workers_immune() -> MarketInstance:
     return parse_market(_WORKERS_IMMUNE)
 

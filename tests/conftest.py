@@ -308,18 +308,21 @@ def random_market_instance(rng: random.Random, max_side: int = 5):
 # ---------------------------------------------------------------------------
 # fixtures
 
+# The bundled markets are parsed per test, so no truthful result that an
+# earlier test kept on a profile object reaches a later one.
 
-@pytest.fixture(scope="session")
+
+@pytest.fixture
 def demo_market():
     return manipulation_demo()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def firms_immune_market():
     return firms_immune()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def workers_immune_market():
     return workers_immune()
 

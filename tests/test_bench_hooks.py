@@ -47,10 +47,9 @@ def test_enumeration_cache_reset_exists():
 
 
 def test_package_caches_are_exactly_the_known_ones():
-    # perfbench resets the three result caches so that every op starts cold;
-    # the bundled-market loaders hold no result computed from an input
-    # market.  A new result cache that the benchmark does not reset fails
-    # here by name instead of quietly warming a "cold" workload.
+    # perfbench resets the three result caches so that every op starts cold.
+    # A new result cache that the benchmark does not reset fails here by
+    # name instead of quietly warming a "cold" workload.
     found = set()
     modules = [manymatch] + [importlib.import_module(f"manymatch.{info.name}")
                              for info in pkgutil.iter_modules(manymatch.__path__)]
@@ -62,7 +61,4 @@ def test_package_caches_are_exactly_the_known_ones():
         "manymatch.axioms.check_substitutable",
         "manymatch.axioms.check_lad",
         "manymatch.stability._enumerate_cached",
-        "manymatch.markets.manipulation_demo",
-        "manymatch.markets.firms_immune",
-        "manymatch.markets.workers_immune",
     }

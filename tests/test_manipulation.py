@@ -1,6 +1,8 @@
 """Restriction, truncation targets, misreport evaluation, and the
 manipulability-construction verifier."""
 
+import importlib
+import os
 import random
 import time
 
@@ -21,6 +23,7 @@ from manymatch import (
 )
 from manymatch.axioms import check_lad, check_substitutable
 from manymatch.core import (
+    NoStableMatchingError,
     PreconditionError,
     PreferenceRelation,
     UnsupportedSizeError,
@@ -36,6 +39,7 @@ from manymatch.manipulation import (
     restrict_preference,
     truncation_strategy,
 )
+from manymatch.markets import BUNDLED, firms_immune, manipulation_demo
 from manymatch.solver import OrderVerdict, apply_rule, compare_blair, compare_common
 from manymatch.stability import is_stable
 
@@ -48,6 +52,7 @@ from test_stability import (
 
 F = Side.FIRM
 W = Side.WORKER
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # No stable matching is best for every worker: seed 14 of
 # conftest.random_market_instance, whose firm1 list is not substitutable.
@@ -277,6 +282,94 @@ class TestVerifyGmt:
         with pytest.raises(PreconditionError, match="aggregate demand"):
             verify_gmt(AgentId(F, 0), StableRule.WORKER_OPTIMAL, firms_immune_market.profile)
 
+    def test_kept_axiom_verdict_raises_the_same_error_every_time(self, firms_immune_market):
+        p = firms_immune_market.profile
+        f1, rule = AgentId(F, 0), StableRule.WORKER_OPTIMAL
+        for _ in range(2):
+            with pytest.raises(PreconditionError) as refusal:
+                verify_gmt(f1, rule, p)
+            assert str(refusal.value) == "firm 0 fails the law of aggregate demand"
+            assert refusal.value.agent == f1
+        # the gate off still runs the construction after a gate failure ...
+        v = verify_gmt(f1, rule, p, require_axioms=False)
+        assert v.applicable and v.checks[0].target == EX1_MU_F
+        # ... and leaves the gate closed
+        with pytest.raises(PreconditionError, match="^firm 0 fails the law of aggregate demand$"):
+            verify_gmt(f1, rule, p)
+
+    def test_gate_off_call_does_not_open_the_gate(self):
+        p = firms_immune().profile
+        f1, rule = AgentId(F, 0), StableRule.WORKER_OPTIMAL
+        assert verify_gmt(f1, rule, p, require_axioms=False).applicable
+        with pytest.raises(PreconditionError, match="^firm 0 fails the law of aggregate demand$"):
+            verify_gmt(f1, rule, p)
+
+    def test_truthful_results_computed_once_per_profile(self, monkeypatch, demo_market):
+        import manymatch.manipulation as manipulation
+
+        p = demo_market.profile
+        rules, sides, relations = [], [], []
+
+        def counting_apply_rule(r, q):
+            if q is p:
+                rules.append(r)
+            return apply_rule(r, q)
+
+        def counting_side_optimal(ss, q, side):
+            if q is p:
+                sides.append(side)
+            return side_optimal(ss, q, side)
+
+        def counting_check_lad(pref):
+            relations.append(pref)
+            return check_lad(pref)
+
+        monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
+        monkeypatch.setattr(manipulation, "side_optimal", counting_side_optimal)
+        monkeypatch.setattr(manipulation, "check_lad", counting_check_lad)
+        verifications = [verify_gmt(a, rule, p) for rule in StableRule for a in p.agents()]
+        assert sum(v.applicable for v in verifications) == 8
+        assert rules == list(StableRule)
+        assert sides == [F, W]
+        # the axiom gate checked each relation once for all 28 calls
+        assert relations == list(p.firm_prefs + p.worker_prefs)
+
+    def test_kept_results_never_cross_profile_objects(self, monkeypatch):
+        import manymatch.manipulation as manipulation
+
+        first, second = manipulation_demo().profile, manipulation_demo().profile
+        assert first == second and first is not second
+        profiles = []
+
+        def counting_apply_rule(r, q):
+            profiles.append(q)
+            return apply_rule(r, q)
+
+        monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
+        for p in (first, second, first, second):
+            verify_gmt(AgentId(W, 0), StableRule.FIRM_OPTIMAL, p)
+        assert sum(q is first for q in profiles) == 1
+        assert sum(q is second for q in profiles) == 1
+
+    def test_a_failed_truthful_run_is_not_kept(self, monkeypatch, empty_stable_set_profile):
+        import manymatch.manipulation as manipulation
+
+        p = empty_stable_set_profile
+        profiles = []
+
+        def counting_apply_rule(r, q):
+            profiles.append(q)
+            return apply_rule(r, q)
+
+        monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
+        a = AgentId(W, 0)
+        for rule, error in ((StableRule.SELECT_FIRST, NoStableMatchingError),
+                            (StableRule.FIRM_OPTIMAL, PreconditionError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    verify_gmt(a, rule, p, require_axioms=False)
+        assert len(profiles) == 4 and all(q is p for q in profiles)
+
     def test_firms_immune_construction_fails_without_lad(self, firms_immune_market):
         # with the axiom gate off, the construction runs and its key equality
         # breaks: the target stays stable under the misreport, but the rule
@@ -356,6 +449,16 @@ class TestCounterexampleSearch:
         assert sum(q is p for q in profiles) == 1
         # every other call is one candidate's report
         assert len(profiles) == 1 + report.candidates_total
+
+        # a second search on the same object, for another agent that gains
+        # (w2 against the firm-side rules, f2 against the worker-side ones),
+        # runs only its candidates
+        firm_side = rule in (StableRule.FIRM_OPTIMAL, StableRule.SELECT_FIRST)
+        profiles.clear()
+        report = gmt_counterexample_check(p, rule, AgentId(W if firm_side else F, 1))
+        assert not report.not_applicable
+        assert sum(q is p for q in profiles) == 0
+        assert len(profiles) == report.candidates_total
 
     def test_exhaustive_cap(self, firms_immune_market):
         p = firms_immune_market.profile
@@ -468,6 +571,33 @@ def test_restriction_faithfulness_on_corpus(responsive_corpus):
                 restricted = restrict_preference(p[a], t)
                 assert restriction_items_hold(p[a], restricted, t)
                 assert set(restricted.ranked) <= set(p[a].ranked)
+
+
+def _verification_or_refusal(a, rule, p, require_axioms):
+    try:
+        return verify_gmt(a, rule, p, require_axioms=require_axioms)
+    except PreconditionError as exc:
+        return exc.agent, str(exc)
+
+
+def test_kept_truthful_results_equal_fresh_ones(monkeypatch):
+    # one shared profile answers every (rule, agent), gate on and off, in
+    # sweep order and in reverse, exactly as a fresh equal profile per call
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    sweep = importlib.import_module("manipulability_sweep")
+    rng = random.Random(7)
+    markets = [sweep.random_market(rng, 4) for _ in range(300)]
+    markets += [load().profile for load in BUNDLED.values()]
+    assert sum(len(enumerate_stable(p)) >= 2 for p in markets) >= 20
+    for p in markets:
+        pairs = [(rule, a) for rule in StableRule for a in p.agents()]
+        for order in (pairs, pairs[::-1]):
+            shared = Profile(p.firm_prefs, p.worker_prefs)
+            for rule, a in order:
+                for gate in (True, False):
+                    fresh = Profile(p.firm_prefs, p.worker_prefs)
+                    assert (_verification_or_refusal(a, rule, shared, gate)
+                            == _verification_or_refusal(a, rule, fresh, gate))
 
 
 @settings(max_examples=80, deadline=None)

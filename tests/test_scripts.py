@@ -28,6 +28,14 @@ def test_manipulability_sweep_small_run():
     assert "markets refused by a size limit: 0" in lines
 
 
+def test_manipulability_sweep_figures_at_300_markets():
+    lines = run_sweep("--markets", "300", "--seed", "7").stdout.splitlines()
+    assert "markets: 300   with >=2 stable matchings: 19" in lines
+    assert "applicable (agent, rule) pairs: 152" in lines
+    assert "assertion failures: 0" in lines
+    assert "markets refused by a size limit: 0" in lines
+
+
 def test_manipulability_sweep_on_markets_up_to_six_a_side():
     lines = run_sweep("--markets", "20", "--max-side", "6").stdout.splitlines()
     assert "assertion failures: 0" in lines
