@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Every command builds one result payload and renders it either as text or as
-JSON (``--format json``), so the two formats always carry the same data.
+Every command builds one result payload.  ``--format json`` prints it as
+JSON; the text format is rendered from that payload alone, so the two formats
+always carry the same data.
 
 Exit codes: 0 success; 1 a violation or failed assertion was found (with
 ``--strict`` where applicable); 2 usage errors; 3 parse or semantic errors in
@@ -14,22 +15,18 @@ import argparse
 import json
 import sys
 
-from .axioms import Axiom, AxiomReport, check_lad, check_substitutable
-from .core import MarketInstance, MatchingError, bits, matched_set
+from .axioms import check_lad, check_substitutable
+from .core import MarketInstance, MatchingError, bits
 from .fileformat import (
     ParseError,
-    format_partner_set,
+    format_names,
     format_relation,
     matching_to_dict,
     parse_market,
+    relation_names,
     render_matching,
 )
-from .manipulation import (
-    CounterexampleReport,
-    GmtVerification,
-    gmt_counterexample_check,
-    verify_gmt,
-)
+from .manipulation import gmt_counterexample_check, verify_gmt
 from .markets import run_bundled_checks
 from .solver import StableRule, apply_rule
 from .stability import enumerate_stable
@@ -94,90 +91,76 @@ def _load(path: str) -> MarketInstance:
     return parse_market(text)
 
 
-def _axiom_report_payload(name: str, report: AxiomReport, instance: MarketInstance) -> dict:
-    payload = {
-        "agent": name,
-        "axiom": report.axiom.value,
-        "holds": report.holds,
-        "witness": None,
-    }
-    if report.witness is not None:
-        w = report.witness
-        opposite = instance.side_names(w.agent.side.opposite)
-        payload["witness"] = {
-            "offer_set": [opposite[i] for i in bits(w.offer_set)],
-            "reduced_set": [opposite[i] for i in bits(w.reduced_set)],
-            "kept": opposite[w.kept] if w.kept is not None else None,
-            "removed": opposite[w.removed],
-        }
-    return payload
+def _cmd_validate(args, instance: MarketInstance) -> tuple[int, dict]:
+    p = instance.profile
+    checkers = [checker for checker, axiom in ((check_substitutable, "substitutable"),
+                                               (check_lad, "lad")) if args.axiom in (axiom, "all")]
+
+    reports = []
+    for agent in p.agents():
+        names = instance.side_names(agent.side.opposite)
+        for checker in checkers:
+            report = checker(p[agent])
+            w = report.witness
+            reports.append({
+                "agent": instance.name_of(agent),
+                "axiom": report.axiom.value,
+                "holds": report.holds,
+                "witness": None if w is None else {
+                    "offer_set": [names[i] for i in bits(w.offer_set)],
+                    "reduced_set": [names[i] for i in bits(w.reduced_set)],
+                    "kept": names[w.kept] if w.kept is not None else None,
+                    "removed": names[w.removed],
+                },
+            })
+    all_hold = all(r["holds"] for r in reports)
+    code = 1 if (args.strict and not all_hold) else 0
+    return code, {"axiom_reports": reports, "all_hold": all_hold}
 
 
-def _witness_text(report: AxiomReport, instance: MarketInstance) -> str:
-    w = report.witness
-    names = instance.side_names(w.agent.side.opposite)
-    offer = format_partner_set(w.offer_set, names)
-    reduced = format_partner_set(w.reduced_set, names)
-    if report.axiom is Axiom.SUBSTITUTABILITY:
-        return (f"S'={{{offer}}} w={names[w.kept]} w'={names[w.removed]}: "
-                f"{names[w.kept]} is chosen from S' but not from {{{reduced}}}")
-    return (f"X={{{offer}}} Y={{{reduced}}} (removed {names[w.removed]}): "
+def _witness_text(report: dict) -> str:
+    w = report["witness"]
+    offer, reduced = format_names(w["offer_set"]), format_names(w["reduced_set"])
+    if report["axiom"] == "substitutability":
+        return (f"S'={{{offer}}} w={w['kept']} w'={w['removed']}: "
+                f"{w['kept']} is chosen from S' but not from {{{reduced}}}")
+    return (f"X={{{offer}}} Y={{{reduced}}} (removed {w['removed']}): "
             f"Y chooses strictly more partners than X")
 
 
-def _cmd_validate(args, instance: MarketInstance) -> tuple[int, dict, list[str]]:
-    p = instance.profile
-    checkers = []
-    if args.axiom in ("substitutable", "all"):
-        checkers.append(("substitutability", check_substitutable))
-    if args.axiom in ("lad", "all"):
-        checkers.append(("lad", check_lad))
-
-    reports = []
-    lines = []
-    all_hold = True
-    for agent in p.agents():
-        name = instance.name_of(agent)
-        for label, checker in checkers:
-            report = checker(p[agent])
-            all_hold &= report.holds
-            reports.append(_axiom_report_payload(name, report, instance))
-            if report.holds:
-                lines.append(f"{name} {label}: holds")
-            else:
-                lines.append(f"{name} {label}: VIOLATED  {_witness_text(report, instance)}")
-    lines.append("all axioms hold" if all_hold else "violations found")
-    code = 1 if (args.strict and not all_hold) else 0
-    return code, {"axiom_reports": reports, "all_hold": all_hold}, lines
+def _validate_text(payload: dict) -> list[str]:
+    lines = [f"{r['agent']} {r['axiom']}: "
+             + ("holds" if r["holds"] else f"VIOLATED  {_witness_text(r)}")
+             for r in payload["axiom_reports"]]
+    lines.append("all axioms hold" if payload["all_hold"] else "violations found")
+    return lines
 
 
-def _cmd_solve(args, instance: MarketInstance) -> tuple[int, dict, list[str]]:
+def _cmd_solve(args, instance: MarketInstance) -> tuple[int, dict]:
     mu = apply_rule(_RULES[args.rule], instance.profile)
-    payload = {"rule": args.rule, "matching": matching_to_dict(mu, instance)}
-    lines = [f"rule: {args.rule}", render_matching(mu, instance)]
-    return 0, payload, lines
+    return 0, {"rule": args.rule, "matching": matching_to_dict(mu, instance)}
 
 
-def _cmd_enumerate(args, instance: MarketInstance) -> tuple[int, dict, list[str]]:
+def _solve_text(payload: dict) -> list[str]:
+    return [f"rule: {payload['rule']}", render_matching(payload["matching"])]
+
+
+def _cmd_enumerate(args, instance: MarketInstance) -> tuple[int, dict]:
     ss = enumerate_stable(instance.profile)
-    payload = {
-        "count": len(ss),
-        "matchings": [matching_to_dict(mu, instance) for mu in ss],
-    }
-    lines = [f"stable matchings: {len(ss)}"]
-    for i, mu in enumerate(ss, 1):
-        lines.append(f"[{i}]")
-        lines.append(render_matching(mu, instance))
-    return 0, payload, lines
+    return 0, {"count": len(ss), "matchings": [matching_to_dict(mu, instance) for mu in ss]}
 
 
-def _relation_names(relation, instance) -> list[list[str]]:
-    names = instance.side_names(relation.owner.side.opposite)
-    return [[names[i] for i in bits(entry)] for entry in relation.ranked]
+def _enumerate_text(payload: dict) -> list[str]:
+    lines = [f"stable matchings: {payload['count']}"]
+    for i, matching in enumerate(payload["matchings"], 1):
+        lines += [f"[{i}]", render_matching(matching)]
+    return lines
 
 
-def _counterexample_payload(report: CounterexampleReport, instance: MarketInstance) -> dict:
-    return {
+def _cmd_manipulate(args, instance: MarketInstance) -> tuple[int, dict]:
+    report = gmt_counterexample_check(instance.profile, _RULES[args.rule],
+                                      instance.agent_id(args.agent), exhaustive=args.exhaustive)
+    return 0, {
         "agent": instance.name_of(report.agent),
         "rule": report.rule.value,
         "mode": report.mode,
@@ -188,7 +171,7 @@ def _counterexample_payload(report: CounterexampleReport, instance: MarketInstan
         "rule_failures": report.rule_failures,
         "profitable": [
             {
-                "reported": _relation_names(outcome.misreport.reported, instance),
+                "reported": relation_names(outcome.misreport.reported, instance),
                 "substitutable": check_substitutable(outcome.misreport.reported).holds,
                 "lad": check_lad(outcome.misreport.reported).holds,
                 "matching": matching_to_dict(outcome.manipulated, instance),
@@ -202,28 +185,22 @@ def _counterexample_payload(report: CounterexampleReport, instance: MarketInstan
     }
 
 
-def _cmd_manipulate(args, instance: MarketInstance) -> tuple[int, dict, list[str]]:
-    report = gmt_counterexample_check(instance.profile, _RULES[args.rule],
-                                      instance.agent_id(args.agent), exhaustive=args.exhaustive)
-    payload = _counterexample_payload(report, instance)
-    lines = [f"agent: {args.agent}   rule: {args.rule}   mode: {report.mode}"]
-    if report.not_applicable:
-        lines.append("not applicable: " + report.search_scope)
-    else:
+def _manipulate_text(payload: dict) -> list[str]:
+    lines = [f"agent: {payload['agent']}   rule: {payload['rule']}   mode: {payload['mode']}"]
+    if payload["not_applicable"]:
+        return lines + ["not applicable: " + payload["search_scope"]]
+    lines.append(
+        f"candidates: {payload['candidates_total']}   evaluated: {payload['evaluated']}   "
+        f"rule failures: {payload['rule_failures']}")
+    lines.append(f"profitable misreports: {len(payload['profitable'])}")
+    for found in payload["profitable"]:
+        lines.append(f"  reported: {format_relation(found['reported']) or '(empty list)'}")
+        lines.append("  " + render_matching(found["matching"]).replace("\n", "\n  "))
         lines.append(
-            f"candidates: {report.candidates_total}   evaluated: {report.evaluated}   "
-            f"rule failures: {report.rule_failures}")
-        lines.append(f"profitable misreports: {len(report.profitable)}")
-        for outcome in report.profitable:
-            reported = format_relation(outcome.misreport.reported, instance) or "(empty list)"
-            lines.append(f"  reported: {reported}")
-            lines.append("  " + render_matching(outcome.manipulated, instance).replace("\n", "\n  "))
-            lines.append(
-                f"  verdicts: list-order={outcome.verdict_common.value} "
-                f"blair={outcome.verdict_blair.value} "
-                f"stable-under-truth={'yes' if outcome.manipulated_stable_under_truth else 'no'}")
-        lines.append(f"scope: {report.search_scope}")
-    return 0, payload, lines
+            f"  verdicts: list-order={found['verdict_common']} blair={found['verdict_blair']} "
+            f"stable-under-truth={'yes' if found['stable_under_truth'] else 'no'}")
+    lines.append(f"scope: {payload['search_scope']}")
+    return lines
 
 
 _ASSERTION_LABELS = (
@@ -234,103 +211,99 @@ _ASSERTION_LABELS = (
 )
 
 
-def _gmt_payload(v: GmtVerification, instance: MarketInstance) -> dict:
-    return {
-        "agent": instance.name_of(v.agent),
-        "rule": v.rule.value,
-        "applicable": v.applicable,
-        "baseline": matching_to_dict(v.baseline, instance),
-        "side_optimum": matching_to_dict(v.side_optimum, instance) if v.side_optimum else None,
-        "targets": [
-            {
-                "target": matching_to_dict(check.target, instance),
-                "reported": _relation_names(check.outcome.misreport.reported, instance),
-                "substitutable": check_substitutable(check.outcome.misreport.reported).holds,
-                "lad": check_lad(check.outcome.misreport.reported).holds,
-                "gmt_assertions": list(check.assertions),
-            }
-            for check in v.checks
-        ],
-        "all_hold": v.all_hold,
-    }
+def _cmd_verify_gmt(args, instance: MarketInstance) -> tuple[int, dict]:
+    p = instance.profile
+    agents = list(p.agents()) if args.all_agents else [instance.agent_id(args.agent)]
+    verifications = [verify_gmt(a, _RULES[args.rule], p) for a in agents]
+    failed = any(v.applicable and not v.all_hold for v in verifications)
+    return (1 if failed else 0), {"rule": args.rule, "agents": [
+        {
+            "agent": instance.name_of(v.agent),
+            "rule": v.rule.value,
+            "applicable": v.applicable,
+            "baseline": matching_to_dict(v.baseline, instance),
+            "side_optimum": matching_to_dict(v.side_optimum, instance) if v.side_optimum else None,
+            "targets": [
+                {
+                    "target": matching_to_dict(check.target, instance),
+                    "reported": relation_names(check.outcome.misreport.reported, instance),
+                    "substitutable": check_substitutable(check.outcome.misreport.reported).holds,
+                    "lad": check_lad(check.outcome.misreport.reported).holds,
+                    "gmt_assertions": list(check.assertions),
+                }
+                for check in v.checks
+            ],
+            "all_hold": v.all_hold,
+        }
+        for v in verifications
+    ]}
 
 
-def _gmt_text(v: GmtVerification, instance: MarketInstance) -> list[str]:
-    name = instance.name_of(v.agent)
-    lines = [f"agent: {name}  rule: {v.rule.value}"]
-    if not v.applicable:
-        lines.append("  not applicable: the rule already assigns this agent its side-optimum")
-        return lines
-    for check in v.checks:
-        target = format_partner_set(matched_set(check.target, v.agent),
-                                    instance.side_names(v.agent.side.opposite))
-        reported = format_relation(check.outcome.misreport.reported, instance) or "(empty list)"
-        lines.append(f"  target assignment: {{{target}}}  reported: {reported}")
-        for label, ok in zip(_ASSERTION_LABELS, check.assertions):
-            lines.append(f"  [{'PASS' if ok else 'FAIL'}] {label}")
+def _verify_gmt_text(payload: dict) -> list[str]:
+    lines = []
+    for v in payload["agents"]:
+        name = v["agent"]
+        lines.append(f"agent: {name}  rule: {v['rule']}")
+        if not v["applicable"]:
+            lines.append("  not applicable: the rule already assigns this agent its side-optimum")
+            continue
+        for check in v["targets"]:
+            # a firm's assignment is its own row; a worker's is the firms whose rows name it
+            target = check["target"]
+            assigned = target[name] if name in target else [
+                firm for firm, workers in target.items() if name in workers]
+            lines.append(f"  target assignment: {{{format_names(assigned)}}}  "
+                         f"reported: {format_relation(check['reported']) or '(empty list)'}")
+            for label, ok in zip(_ASSERTION_LABELS, check["gmt_assertions"]):
+                lines.append(f"  [{'PASS' if ok else 'FAIL'}] {label}")
+    failed = any(v["applicable"] and not v["all_hold"] for v in payload["agents"])
+    lines.append("all assertions hold" if not failed else "ASSERTION FAILURES FOUND")
     return lines
 
 
-def _cmd_verify_gmt(args, instance: MarketInstance) -> tuple[int, dict, list[str]]:
-    p = instance.profile
-    rule = _RULES[args.rule]
-    agents = list(p.agents()) if args.all_agents else [instance.agent_id(args.agent)]
-
-    verifications = [verify_gmt(a, rule, p) for a in agents]
-    payload = {"rule": args.rule, "agents": [_gmt_payload(v, instance) for v in verifications]}
-    lines: list[str] = []
-    for v in verifications:
-        lines.extend(_gmt_text(v, instance))
-    failed = any(v.applicable and not v.all_hold for v in verifications)
-    lines.append("all assertions hold" if not failed else "ASSERTION FAILURES FOUND")
-    return (1 if failed else 0), payload, lines
-
-
-def _cmd_paper_examples(args, instance: None) -> tuple[int, dict, list[str]]:
+def _cmd_paper_examples(args, instance: None) -> tuple[int, dict]:
     checks = run_bundled_checks()
-    payload = {
-        "checks": [
-            {
-                "market": c.market,
-                "name": c.name,
-                "passed": c.passed,
-                "expected": c.expected,
-                "actual": c.actual,
-            }
-            for c in checks
-        ],
-        "all_passed": all(c.passed for c in checks),
-    }
-    lines = []
-    for c in checks:
-        mark = "PASS" if c.passed else "FAIL"
-        lines.append(f"[{mark}] {c.market}: {c.name}")
-        if not c.passed:
-            lines.append(f"       expected: {c.expected}")
-            lines.append(f"       actual:   {c.actual}")
     ok = all(c.passed for c in checks)
-    lines.append(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
-    return (0 if ok else 1), payload, lines
+    return (0 if ok else 1), {
+        "checks": [{"market": c.market, "name": c.name, "passed": c.passed,
+                    "expected": c.expected, "actual": c.actual} for c in checks],
+        "all_passed": ok,
+    }
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "solve": _cmd_solve,
-    "enumerate": _cmd_enumerate,
-    "manipulate": _cmd_manipulate,
-    "verify-gmt": _cmd_verify_gmt,
-    "paper-examples": _cmd_paper_examples,
+def _paper_examples_text(payload: dict) -> list[str]:
+    lines = []
+    for c in payload["checks"]:
+        lines.append(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['market']}: {c['name']}")
+        if not c["passed"]:
+            lines.append(f"       expected: {c['expected']}")
+            lines.append(f"       actual:   {c['actual']}")
+    passed = sum(c["passed"] for c in payload["checks"])
+    lines.append(f"{passed}/{len(payload['checks'])} checks passed")
+    return lines
+
+
+# command -> (handler returning (exit code, payload), text view of the payload)
+_COMMANDS = {
+    "validate": (_cmd_validate, _validate_text),
+    "solve": (_cmd_solve, _solve_text),
+    "enumerate": (_cmd_enumerate, _enumerate_text),
+    "manipulate": (_cmd_manipulate, _manipulate_text),
+    "verify-gmt": (_cmd_verify_gmt, _verify_gmt_text),
+    "paper-examples": (_cmd_paper_examples, _paper_examples_text),
 }
+# built once per process: each parse_args call fills a fresh namespace
+_PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    handler, text_view = _COMMANDS[args.command]
     instance = None
     try:
         if args.command != "paper-examples":
             instance = _load(args.file)
-        code, payload, lines = _HANDLERS[args.command](args, instance)
+        code, payload = handler(args, instance)
     except (MatchingError, ValueError) as exc:
         message = str(exc)
         if getattr(exc, "agent", None) is not None and instance is not None:
@@ -338,20 +311,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 3
 
-    if args.format == "json":
-        document = {"command": args.command, "instance": None, "results": payload}
-        if instance is not None:
-            document["instance"] = {
-                "firms": list(instance.firm_names),
-                "workers": list(instance.worker_names),
-                "preferences": {
-                    instance.name_of(a): _relation_names(instance.profile[a], instance)
-                    for a in instance.profile.agents()
-                },
-            }
-        print(json.dumps(document, indent=2, ensure_ascii=False))
-    else:
-        print("\n".join(lines))
+    if args.format == "text":
+        print("\n".join(text_view(payload)))
+        return code
+    document = {"command": args.command, "instance": None, "results": payload}
+    if instance is not None:
+        document["instance"] = {
+            "firms": list(instance.firm_names),
+            "workers": list(instance.worker_names),
+            "preferences": {
+                instance.name_of(a): relation_names(instance.profile[a], instance)
+                for a in instance.profile.agents()
+            },
+        }
+    print(json.dumps(document, indent=2, ensure_ascii=False))
     return code
 
 

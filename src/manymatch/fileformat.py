@@ -162,14 +162,20 @@ def parse_market(text: str) -> MarketInstance:
     )
 
 
-def format_partner_set(mask: int, names: Sequence[str]) -> str:
-    """Members of ``mask`` as ``names`` in index order, or the empty-set sign."""
-    return " ".join(names[i] for i in bits(mask)) if mask else EMPTY_SET_TEXT
+def format_names(names: Sequence[str]) -> str:
+    """``names`` separated by spaces, or the empty-set sign when there are none."""
+    return " ".join(names) or EMPTY_SET_TEXT
 
 
-def format_relation(pref: PreferenceRelation, instance: MarketInstance) -> str:
+def relation_names(pref: PreferenceRelation, instance: MarketInstance) -> list[list[str]]:
+    """JSON-friendly view: each ranked entry as its members' names in index order."""
     names = instance.side_names(pref.owner.side.opposite)
-    return " | ".join(format_partner_set(entry, names) for entry in pref.ranked)
+    return [[names[i] for i in bits(entry)] for entry in pref.ranked]
+
+
+def format_relation(ranked: list[list[str]]) -> str:
+    """A ``relation_names`` view in pref-line notation: entries separated by '|'."""
+    return " | ".join(format_names(entry) for entry in ranked)
 
 
 def serialize_market(instance: MarketInstance) -> str:
@@ -180,28 +186,23 @@ def serialize_market(instance: MarketInstance) -> str:
         "workers: " + " ".join(instance.worker_names),
     ]
     for agent in instance.profile.agents():
-        body = format_relation(instance.profile[agent], instance)
+        body = format_relation(relation_names(instance.profile[agent], instance))
         name = instance.name_of(agent)
         lines.append(f"pref {name}: {body}" if body else f"pref {name}:")
     return "\n".join(lines) + "\n"
 
 
-def firm_partners(mu: Matching, instance: MarketInstance) -> list[tuple[str, int]]:
-    """Each firm's name with its worker mask under ``mu``, in firm index order."""
-    return [(name, mu.row(f)) for f, name in enumerate(instance.firm_names)]
-
-
-def render_matching(mu: Matching, instance: MarketInstance) -> str:
-    """Two-row table: one column per firm, cells listing the firm's workers."""
-    cells = [format_partner_set(row, instance.worker_names)
-             for _, row in firm_partners(mu, instance)]
-    widths = [max(len(h), len(c)) for h, c in zip(instance.firm_names, cells)]
-    header = "  ".join(h.ljust(w) for h, w in zip(instance.firm_names, widths)).rstrip()
+def render_matching(matching: dict[str, list[str]]) -> str:
+    """Two-row table of a ``matching_to_dict`` view (firm name -> worker
+    names): one column per firm, each cell listing the firm's workers."""
+    cells = [format_names(workers) for workers in matching.values()]
+    widths = [max(len(h), len(c)) for h, c in zip(matching, cells)]
+    header = "  ".join(h.ljust(w) for h, w in zip(matching, widths)).rstrip()
     row = "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
     return header + "\n" + row
 
 
 def matching_to_dict(mu: Matching, instance: MarketInstance) -> dict[str, list[str]]:
     """JSON-friendly view: firm name -> worker names, [] for unmatched."""
-    return {name: [instance.worker_names[w] for w in bits(row)]
-            for name, row in firm_partners(mu, instance)}
+    return {name: [instance.worker_names[w] for w in bits(mu.row(f))]
+            for f, name in enumerate(instance.firm_names)}

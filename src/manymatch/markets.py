@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .axioms import check_lad
-from .core import MarketInstance, Matching, PreferenceRelation
-from .fileformat import firm_partners, format_partner_set, parse_market
+from .core import MarketInstance, Matching, PreferenceRelation, bits
+from .fileformat import format_names, matching_to_dict, parse_market
 from .manipulation import evaluate_misreport, gmt_counterexample_check, make_misreport, verify_gmt
 from .solver import OrderVerdict, StableRule, apply_rule
 from .stability import blocking_pairs, enumerate_stable
@@ -80,8 +80,8 @@ BUNDLED = {
 
 def compact_matching(mu: Matching, instance: MarketInstance) -> str:
     """One-line rendering used for golden comparisons: 'f1=w2 w3, f2=w1, ...'."""
-    return ", ".join(f"{name}={format_partner_set(row, instance.worker_names)}"
-                     for name, row in firm_partners(mu, instance))
+    return ", ".join(f"{firm}={format_names(workers)}"
+                     for firm, workers in matching_to_dict(mu, instance).items())
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,10 @@ def _firms_immune_checks() -> list[BundledCheck]:
         "f1=w1 w2, f2=w3, f3=w4", compact_matching(mu_f, inst)))
 
     report = check_lad(p[inst.agent_id("f1")])
-    witness = report.witness
+    witness, names = report.witness, inst.worker_names
     actual = "holds" if report.holds else (
-        f"fails: X={{{format_partner_set(witness.offer_set, inst.worker_names)}}} "
-        f"Y={{{format_partner_set(witness.reduced_set, inst.worker_names)}}}")
+        f"fails: X={{{format_names([names[i] for i in bits(witness.offer_set)])}}} "
+        f"Y={{{format_names([names[i] for i in bits(witness.reduced_set)])}}}")
     checks.append(BundledCheck(
         "firms-immune", "f1 violates the law of aggregate demand",
         "fails: X={w2 w3 w4} Y={w3 w4}", actual))

@@ -1,6 +1,9 @@
 """Command-line interface: commands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations
 
@@ -365,3 +368,27 @@ class TestPaperExamples:
         assert len(doc["results"]["checks"]) == 26
         markets = {c["market"] for c in doc["results"]["checks"]}
         assert markets == {"manipulation-demo", "firms-immune", "workers-immune"}
+
+
+def test_the_shared_parser_carries_no_state_from_one_call_to_the_next(capsys, demo_file):
+    # the argument parser is built once per process: after a usage error and
+    # a JSON call, each call still prints what it prints in a process of its own
+    json_call = ["verify-gmt", demo_file, "--rule", "firm-optimal", "--all-agents",
+                 "--format", "json"]
+    text_call = ["verify-gmt", demo_file, "--rule", "select-last", "--agent", "w1"]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    alone = []
+    for argv in (json_call, text_call):
+        proc = subprocess.run([sys.executable, "-m", "manymatch.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+
+    with pytest.raises(SystemExit) as exc_info:
+        main(["verify-gmt", demo_file, "--rule", "worker-optimal", "--format", "json",
+              "--agent", "w1", "--all-agents"])
+    assert exc_info.value.code == 2
+    capsys.readouterr()
+    assert [run(capsys, *json_call), run(capsys, *text_call)] == alone
+    assert alone[0][1].startswith("{") and alone[1][1].startswith("agent: w1")

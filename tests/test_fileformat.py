@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_market_instance
 from manymatch import Matching, parse_market
-from manymatch.fileformat import ParseError, render_matching, serialize_market
+from manymatch.fileformat import ParseError, matching_to_dict, render_matching, serialize_market
 from manymatch.markets import manipulation_demo
 
 GOOD_DOC = """\
@@ -195,11 +195,11 @@ class TestRender:
     def test_demo_firm_optimal_table(self):
         inst = manipulation_demo()
         mu = Matching.from_pairs([(0, 1), (0, 2), (1, 0), (2, 3)])
-        assert render_matching(mu, inst) == "f1     f2  f3\nw2 w3  w1  w4"
+        assert render_matching(matching_to_dict(mu, inst)) == "f1     f2  f3\nw2 w3  w1  w4"
 
     def test_empty_matching_renders_empty_cells(self):
         inst = manipulation_demo()
-        out = render_matching(Matching.empty(), inst)
+        out = render_matching(matching_to_dict(Matching.empty(), inst))
         header, row = out.splitlines()
         assert header.split() == ["f1", "f2", "f3"]
         assert row.split() == ["∅", "∅", "∅"]
@@ -207,4 +207,4 @@ class TestRender:
     def test_unmatched_firm_cell(self):
         inst = parse_market(GOOD_DOC)
         mu = Matching.from_pairs([(1, 2)])
-        assert render_matching(mu, inst) == "f1  f2\n∅   w3"
+        assert render_matching(matching_to_dict(mu, inst)) == "f1  f2\n∅   w3"
