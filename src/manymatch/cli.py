@@ -165,7 +165,7 @@ def _cmd_manipulate(args, instance: MarketInstance) -> tuple[int, dict]:
         "rule": report.rule.value,
         "mode": report.mode,
         "not_applicable": report.not_applicable,
-        "baseline": matching_to_dict(report.baseline, instance) if report.baseline else None,
+        "baseline": matching_to_dict(report.baseline, instance),
         "candidates_total": report.candidates_total,
         "evaluated": report.evaluated,
         "rule_failures": report.rule_failures,
@@ -263,12 +263,8 @@ def _verify_gmt_text(payload: dict) -> list[str]:
 
 def _cmd_paper_examples(args, instance: None) -> tuple[int, dict]:
     checks = run_bundled_checks()
-    ok = all(c.passed for c in checks)
-    return (0 if ok else 1), {
-        "checks": [{"market": c.market, "name": c.name, "passed": c.passed,
-                    "expected": c.expected, "actual": c.actual} for c in checks],
-        "all_passed": ok,
-    }
+    ok = all(c["passed"] for c in checks)
+    return (0 if ok else 1), {"checks": checks, "all_passed": ok}
 
 
 def _paper_examples_text(payload: dict) -> list[str]:

@@ -204,15 +204,10 @@ def replace_preference(profile: Profile, agent: AgentId, pref: PreferenceRelatio
     """A new profile identical to ``profile`` except at ``agent``."""
     if pref.owner != agent:
         raise ValueError(f"replacement preference owned by {pref.owner}, not {agent}")
-    if agent.side is Side.FIRM:
-        firm_prefs = tuple(
-            pref if i == agent.index else old for i, old in enumerate(profile.firm_prefs)
-        )
-        return Profile(firm_prefs, profile.worker_prefs)
-    worker_prefs = tuple(
-        pref if j == agent.index else old for j, old in enumerate(profile.worker_prefs)
-    )
-    return Profile(profile.firm_prefs, worker_prefs)
+    sides = [profile.firm_prefs, profile.worker_prefs]
+    s, i = int(agent.side is Side.WORKER), agent.index
+    sides[s] = sides[s][:i] + (pref,) + sides[s][i + 1:]
+    return Profile(*sides)
 
 
 @dataclass(frozen=True)

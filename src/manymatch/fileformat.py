@@ -2,7 +2,7 @@
 
 The format mirrors the list notation used throughout the package::
 
-    # lines starting with '#' are comments
+    # a market ('#' starts a comment anywhere on a line)
     firms: f1 f2 f3
     workers: w1 w2 w3 w4
     pref f1: w2 w3 | w1 | w3
@@ -14,6 +14,8 @@ Each agent gets exactly one ``pref`` line; alternatives are separated by
 never written (an agent with no acceptable set gets an empty right-hand
 side), alternatives must be distinct, names may not contain ``:``, ``|`` or
 ``∅`` (the empty-set sign in output), and at most 32 agents per side are allowed.
+Everything from the first ``#`` on a line is a comment, so no name can
+contain ``#`` either.
 """
 
 from __future__ import annotations

@@ -269,7 +269,7 @@ class CounterexampleReport:
     rule: StableRule
     mode: str
     not_applicable: bool
-    baseline: Matching | None
+    baseline: Matching
     candidates_total: int
     evaluated: int
     rule_failures: int

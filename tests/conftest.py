@@ -21,7 +21,7 @@ from manymatch.axioms import check_substitutable
 from manymatch.core import PreconditionError, PreferenceRelation, bits, choice_mask, transpose
 from manymatch.solver import OrderVerdict, compare_common
 from manymatch.stability import is_stable
-from manymatch.markets import firms_immune, manipulation_demo, workers_immune
+from manymatch.markets import bundled
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -314,17 +314,17 @@ def random_market_instance(rng: random.Random, max_side: int = 5):
 
 @pytest.fixture
 def demo_market():
-    return manipulation_demo()
+    return bundled("manipulation-demo")
 
 
 @pytest.fixture
 def firms_immune_market():
-    return firms_immune()
+    return bundled("firms-immune")
 
 
 @pytest.fixture
 def workers_immune_market():
-    return workers_immune()
+    return bundled("workers-immune")
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,7 @@ from manymatch.manipulation import (
     restrict_preference,
     truncation_strategy,
 )
-from manymatch.markets import firms_immune, manipulation_demo, workers_immune
+from manymatch.markets import bundled
 from manymatch.solver import OrderVerdict
 from manymatch.stability import (
     blocking_pairs,
@@ -73,7 +73,7 @@ def corpus500():
 
 def test_criterion_1_manipulation_demo_reproduction():
     start = time.monotonic()
-    inst = manipulation_demo()
+    inst = bundled("manipulation-demo")
     p = inst.profile
 
     mu_f = deferred_acceptance(p, F)
@@ -95,7 +95,7 @@ def test_criterion_1_manipulation_demo_reproduction():
 
 
 def test_criterion_2_firms_immune_reproduction():
-    inst = firms_immune()
+    inst = bundled("firms-immune")
     p = inst.profile
 
     h_w = deferred_acceptance(p, W)
@@ -131,7 +131,7 @@ def test_criterion_2_firms_immune_reproduction():
 
 def test_criterion_3_workers_immune_reproduction():
     start = time.monotonic()
-    inst = workers_immune()
+    inst = bundled("workers-immune")
     p = inst.profile
 
     ss = enumerate_stable(p)

@@ -13,12 +13,12 @@ from manymatch import AgentId, Profile, QuotaRanking, Side, responsive_preferenc
 from manymatch.cli import main
 from manymatch.core import MarketInstance
 from manymatch.fileformat import serialize_market
-from manymatch.markets import firms_immune, manipulation_demo, workers_immune
+from manymatch.markets import BUNDLED, run_bundled_checks
 from manymatch.stability import SEARCH_BUDGET
 
-DEMO_DOC = serialize_market(manipulation_demo())
-FIRMS_IMMUNE_DOC = serialize_market(firms_immune())
-WORKERS_IMMUNE_DOC = serialize_market(workers_immune())
+DEMO_DOC = BUNDLED["manipulation-demo"]
+FIRMS_IMMUNE_DOC = BUNDLED["firms-immune"]
+WORKERS_IMMUNE_DOC = BUNDLED["workers-immune"]
 
 
 @pytest.fixture
@@ -368,6 +368,10 @@ class TestPaperExamples:
         assert len(doc["results"]["checks"]) == 26
         markets = {c["market"] for c in doc["results"]["checks"]}
         assert markets == {"manipulation-demo", "firms-immune", "workers-immune"}
+
+    def test_json_checks_are_the_bundled_rows_as_they_are(self, capsys):
+        _, out, _ = run(capsys, "paper-examples", "--format", "json")
+        assert json.loads(out)["results"]["checks"] == run_bundled_checks()
 
 
 def test_the_shared_parser_carries_no_state_from_one_call_to_the_next(capsys, demo_file):

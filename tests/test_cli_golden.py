@@ -15,7 +15,7 @@ from pathlib import Path
 
 from manymatch.cli import main
 from manymatch.fileformat import serialize_market
-from manymatch.markets import BUNDLED
+from manymatch.markets import BUNDLED, bundled
 
 DIGESTS = Path(__file__).with_name("cli_golden.json")
 RULES = ("firm-optimal", "worker-optimal", "select-first", "select-last")
@@ -56,8 +56,8 @@ def observed_digests(directory: Path) -> dict[str, str]:
     for fmt in FORMATS:
         key = f"paper-examples --format {fmt}"
         digests[key] = digest(key.split())
-    for market, build in BUNDLED.items():
-        instance = build()
+    for market in BUNDLED:
+        instance = bundled(market)
         path = directory / f"{market}.market"
         path.write_text(serialize_market(instance), encoding="utf-8")
         for command, *options in invocations(market, instance.firm_names[0],

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_market_instance
 from manymatch import Matching, parse_market
 from manymatch.fileformat import ParseError, matching_to_dict, render_matching, serialize_market
-from manymatch.markets import manipulation_demo
+from manymatch.markets import bundled
 
 GOOD_DOC = """\
 firms: f1 f2
@@ -42,6 +42,16 @@ class TestParse:
         inst = parse_market(noisy)
         f1 = inst.profile[inst.agent_id("f1")]
         assert f1.ranked[0] == 0b11  # member order inside a set is free
+
+    def test_trailing_comment_after_last_alternative(self):
+        doc = GOOD_DOC.replace("pref f1: w1 w2 | w1 | w2", "pref f1: w1 w2 | w1 | w2  # | w3")
+        assert parse_market(doc) == parse_market(GOOD_DOC)
+
+    def test_hash_inside_a_name_starts_a_comment(self):
+        # 'f#2' declares only 'f', so f2's pref line names an undeclared agent
+        doc = GOOD_DOC.replace("firms: f1 f2", "firms: f1 f#2")
+        with pytest.raises(ParseError, match="undeclared agent 'f2'"):
+            parse_market(doc)
 
     def test_empty_preference_line_allowed(self):
         doc = GOOD_DOC.replace("pref f2: w3", "pref f2:")
@@ -187,18 +197,18 @@ class TestRoundTrip:
         assert serialize_market(parse_market(canon)) == canon
 
     def test_bundled_market_round_trips(self):
-        inst = manipulation_demo()
+        inst = bundled("manipulation-demo")
         assert parse_market(serialize_market(inst)) == inst
 
 
 class TestRender:
     def test_demo_firm_optimal_table(self):
-        inst = manipulation_demo()
+        inst = bundled("manipulation-demo")
         mu = Matching.from_pairs([(0, 1), (0, 2), (1, 0), (2, 3)])
         assert render_matching(matching_to_dict(mu, inst)) == "f1     f2  f3\nw2 w3  w1  w4"
 
     def test_empty_matching_renders_empty_cells(self):
-        inst = manipulation_demo()
+        inst = bundled("manipulation-demo")
         out = render_matching(matching_to_dict(Matching.empty(), inst))
         header, row = out.splitlines()
         assert header.split() == ["f1", "f2", "f3"]

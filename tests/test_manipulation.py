@@ -39,7 +39,7 @@ from manymatch.manipulation import (
     restrict_preference,
     truncation_strategy,
 )
-from manymatch.markets import BUNDLED, firms_immune, manipulation_demo
+from manymatch.markets import BUNDLED, bundled
 from manymatch.solver import OrderVerdict, apply_rule, compare_blair, compare_common
 from manymatch.stability import is_stable
 
@@ -298,7 +298,7 @@ class TestVerifyGmt:
             verify_gmt(f1, rule, p)
 
     def test_gate_off_call_does_not_open_the_gate(self):
-        p = firms_immune().profile
+        p = bundled("firms-immune").profile
         f1, rule = AgentId(F, 0), StableRule.WORKER_OPTIMAL
         assert verify_gmt(f1, rule, p, require_axioms=False).applicable
         with pytest.raises(PreconditionError, match="^firm 0 fails the law of aggregate demand$"):
@@ -337,7 +337,7 @@ class TestVerifyGmt:
     def test_kept_results_never_cross_profile_objects(self, monkeypatch):
         import manymatch.manipulation as manipulation
 
-        first, second = manipulation_demo().profile, manipulation_demo().profile
+        first, second = bundled("manipulation-demo").profile, bundled("manipulation-demo").profile
         assert first == second and first is not second
         profiles = []
 
@@ -587,7 +587,7 @@ def test_kept_truthful_results_equal_fresh_ones(monkeypatch):
     sweep = importlib.import_module("manipulability_sweep")
     rng = random.Random(7)
     markets = [sweep.random_market(rng, 4) for _ in range(300)]
-    markets += [load().profile for load in BUNDLED.values()]
+    markets += [bundled(name).profile for name in BUNDLED]
     assert sum(len(enumerate_stable(p)) >= 2 for p in markets) >= 20
     for p in markets:
         pairs = [(rule, a) for rule in StableRule for a in p.agents()]

@@ -3,8 +3,7 @@
 import re
 from pathlib import Path
 
-from manymatch.fileformat import serialize_market
-from manymatch.markets import manipulation_demo
+from manymatch.markets import BUNDLED
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,7 +15,7 @@ def library_example() -> str:
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
-    (tmp_path / "market.txt").write_text(serialize_market(manipulation_demo()), encoding="utf-8")
+    (tmp_path / "market.txt").write_text(BUNDLED["manipulation-demo"], encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     namespace = {}
     exec(compile(library_example(), str(README), "exec"), namespace)
