@@ -6,13 +6,21 @@ partners can never enter a choice set, so they cannot create or hide a
 violation) and report a replayable witness on failure, whose offer and
 reduced sets are masks over the agent's opposite side.
 
-Each check first builds one choice table for the relation.  The k listed
-members are renumbered 0..k-1 in index order, which keeps the numeric order
-of sets, and a subset-minimum pass over all 2^k sets finds for every set S
-the first listed entry inside S, so every Ch(S) is one list lookup.  The
-scans then visit every offer S but remove only members of Ch(S): removing an
-unchosen member r never changes the choice, because the first entry inside
-S is still inside S - r and no earlier entry can fit inside the smaller set.
+A responsive list, the order ``responsive_preference`` builds from a ranking
+and a quota, satisfies both axioms, so each check first asks whether the
+list is one: whether it is the responsive order of its own singletons, in
+list order, with its first (largest) entry's size as the quota.  A count of
+the entries rejects most other lists before anything is allocated, and the
+order is then generated and compared in one pass, so recognition costs
+O(entries) and needs no table.  The member cap applies all the same.
+
+Every other list gets one choice table.  The k listed members are
+renumbered 0..k-1 in index order, which keeps the numeric order of sets, and
+a subset-minimum pass over all 2^k sets finds for every set S the first
+listed entry inside S, so every Ch(S) is one list lookup.  The scans then
+visit every offer S but remove only members of Ch(S): removing an unchosen
+member r never changes the choice, because the first entry inside S is
+still inside S - r and no earlier entry can fit inside the smaller set.
 Such a removal violates neither axiom, so each offer costs |Ch(S)| lookups.
 The table lives for one call; only the reports are cached.
 """
@@ -22,14 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from math import comb
+from operator import eq
+from typing import Iterator
 
 from .core import AgentId, PreferenceRelation, UnsupportedSizeError, bits
 
 # The choice table has one slot per subset of the listed members, so a check
 # takes O(2^k * k) steps and a few lists of 2^k ints.  At the cap, k = 16,
 # that is 65,536 sets and about 1.5 MiB at peak; the cap is checked before
-# anything is allocated.
+# anything is allocated, and before a responsive list is recognized.
 CHECK_CAP = 16
 
 
@@ -62,9 +72,9 @@ class AxiomReport:
     witness: AxiomWitness | None = None
 
 
-def _choice_table(pref: PreferenceRelation) -> tuple[int, list[int]]:
-    """The listed members as a mask, and ``choices[S]`` = Ch(S) for every
-    set S of them, both S and Ch(S) over the renumbered members."""
+def _listed_members(pref: PreferenceRelation) -> int:
+    """The members ``pref`` lists, as a mask; more than ``CHECK_CAP`` of them
+    are refused."""
     universe = 0
     for entry in pref.ranked:
         universe |= entry
@@ -73,6 +83,33 @@ def _choice_table(pref: PreferenceRelation) -> tuple[int, list[int]]:
         raise UnsupportedSizeError(
             f"axiom checks scan all subsets of the listed members; "
             f"{{agent}} lists {count} > {CHECK_CAP}", pref.owner)
+    return universe
+
+
+def _is_responsive(ranked: tuple[int, ...], universe: int) -> bool:
+    """Is ``ranked`` the responsive order of its own singletons, in list
+    order, with its largest entry's size as the quota?
+
+    A responsive list starts with one of its largest entries, so the first
+    entry's size is taken as the quota; a larger entry later in the list is
+    never generated, and the comparison fails there.
+    """
+    if not ranked:
+        return True
+    k = universe.bit_count()
+    quota = ranked[0].bit_count()
+    # the responsive order lists each set of at most ``quota`` of the k
+    # members once, so the counts must agree before any order is generated
+    if len(ranked) != sum(comb(k, size) for size in range(1, quota + 1)):
+        return False
+    singletons = [entry for entry in ranked if not entry & (entry - 1)]
+    return len(singletons) == k and all(map(eq, _responsive_order(singletons, quota), ranked))
+
+
+def _choice_table(pref: PreferenceRelation, universe: int) -> list[int]:
+    """``choices[S]`` = Ch(S) for every set S of the listed members
+    ``universe``, both S and Ch(S) over the renumbered members."""
+    count = universe.bit_count()
     # best[S]: the rank of the first entry inside S (len(pref.ranked) if none).
     # It starts as the rank of S itself; each pass folds the top index bit,
     # best[S + top] = min(best[S + top], best[S]), then interleaves the two
@@ -95,7 +132,7 @@ def _choice_table(pref: PreferenceRelation) -> tuple[int, list[int]]:
         best[1::2] = [a if a < b else b for a, b in zip(best[half:], low)]
         best[::2] = low
     entries.append(0)
-    return universe, list(map(entries.__getitem__, best))
+    return list(map(entries.__getitem__, best))
 
 
 def _violation(axiom: Axiom, pref: PreferenceRelation, universe: int, offer: int,
@@ -124,7 +161,10 @@ def check_substitutable(pref: PreferenceRelation) -> AxiomReport:
     The witness is the first violation with offers in descending numeric
     order and, within one offer, (kept, removed) pairs ascending.
     """
-    universe, choices = _choice_table(pref)
+    universe = _listed_members(pref)
+    if _is_responsive(pref.ranked, universe):
+        return AxiomReport(Axiom.SUBSTITUTABILITY, True)
+    choices = _choice_table(pref, universe)
     for offer in range(len(choices) - 1, 0, -1):
         chosen = rest = choices[offer]
         while rest:
@@ -152,7 +192,10 @@ def check_lad(pref: PreferenceRelation) -> AxiomReport:
     all-pairs oracle).  The witness is the first violation with offers in
     descending numeric order and removals ascending.
     """
-    universe, choices = _choice_table(pref)
+    universe = _listed_members(pref)
+    if _is_responsive(pref.ranked, universe):
+        return AxiomReport(Axiom.LAD, True)
+    choices = _choice_table(pref, universe)
     for offer in range(len(choices) - 1, 0, -1):
         chosen = rest = choices[offer]
         count = chosen.bit_count()
@@ -179,6 +222,26 @@ class QuotaRanking:
             raise ValueError(f"duplicate individuals in ranking of {self.owner}")
 
 
+def _responsive_order(members: list[int], quota: int) -> Iterator[int]:
+    """Every nonempty set of at most ``quota`` of ``members`` (singleton
+    masks, best first) in the responsive order: depth first, each set after
+    its extensions by later members, which come in member order."""
+    path: list[int] = []  # indices of the current set's members, ascending
+    mask = 0
+    following = 0  # the first member that may extend the current set
+    while True:
+        while len(path) < quota and following < len(members):
+            path.append(following)
+            mask |= members[following]
+            following += 1
+        if not path:
+            return
+        yield mask
+        last = path.pop()
+        mask ^= members[last]
+        following = last + 1
+
+
 def responsive_preference(q: QuotaRanking) -> PreferenceRelation:
     """Extend a quota ranking to a strict order over partner sets.
 
@@ -188,18 +251,5 @@ def responsive_preference(q: QuotaRanking) -> PreferenceRelation:
     subsets and swapping in a better individual always improves a set.  The
     output satisfies substitutability and the law of aggregate demand.
     """
-    rank = {idx: r for r, idx in enumerate(q.individual_ranking)}
-    cap = min(q.quota, len(q.individual_ranking))
-    sentinel = len(q.individual_ranking)
-
-    subsets: list[tuple[int, ...]] = []
-    for size in range(1, cap + 1):
-        subsets.extend(combinations(q.individual_ranking, size))
-
-    def key(members: tuple[int, ...]) -> tuple[int, ...]:
-        ranks = sorted(rank[i] for i in members)
-        return tuple(ranks) + (sentinel,) * (cap - len(ranks))
-
-    subsets.sort(key=key)
-    ranked = tuple(sum(1 << i for i in members) for members in subsets)
-    return PreferenceRelation(owner=q.owner, ranked=ranked)
+    members = [1 << i for i in q.individual_ranking]
+    return PreferenceRelation(owner=q.owner, ranked=tuple(_responsive_order(members, q.quota)))

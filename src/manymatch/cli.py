@@ -12,8 +12,8 @@ the input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring
 
 from .axioms import check_lad, check_substitutable
 from .core import MarketInstance, MatchingError, bits
@@ -279,6 +279,50 @@ def _paper_examples_text(payload: dict) -> list[str]:
     return lines
 
 
+def _write_json(value, out: list[str], indent: str = "") -> None:
+    """Append ``value`` to ``out`` exactly as ``json.dumps(value, indent=2,
+    ensure_ascii=False)`` writes it, for the payload types (dict with str
+    keys, list, str, int, bool, None); ``indent`` is the current line's."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        out.append("{\n" + inner)
+        for key, item in value.items():
+            out += (encode_basestring(key), ": ")
+            _write_json(item, out, inner)
+            out.append(",\n" + inner)
+        out[-1] = "\n" + indent + "}"  # the last item takes no comma
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        out.append("[\n" + inner)
+        for item in value:
+            _write_json(item, out, inner)
+            out.append(",\n" + inner)
+        out[-1] = "\n" + indent + "]"
+    else:
+        raise TypeError(f"{type(value).__name__} is not a payload type")
+
+
+def _json_text(value) -> str:
+    """``value`` as two-space-indented JSON with non-ASCII text kept as is."""
+    out: list[str] = []
+    _write_json(value, out)
+    return "".join(out)
+
+
 # command -> (handler returning (exit code, payload), text view of the payload)
 _COMMANDS = {
     "validate": (_cmd_validate, _validate_text),
@@ -320,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
                 for a in instance.profile.agents()
             },
         }
-    print(json.dumps(document, indent=2, ensure_ascii=False))
+    print(_json_text(document))
     return code
 
 

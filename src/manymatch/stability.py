@@ -84,23 +84,36 @@ def is_stable(mu: Matching, p: Profile) -> bool:
     return ok and not blocking_pairs(mu, p)
 
 
-def _kept_whole(pref: PreferenceRelation, opposite_count: int) -> dict[int, int]:
+def _kept_whole(pref: PreferenceRelation) -> dict[int, int]:
     """The sets ``pref`` keeps whole (the empty set and each listed S with
-    Ch(S) = S), each mapped to the k outside S with k in Ch(S + k)."""
-    kept = {}
-    for s in (0, *pref.ranked):
-        if choice_mask(s, pref) == s:
-            kept[s] = sum(
-                1 << k for k in range(opposite_count)
-                if not s >> k & 1 and choice_mask(s | 1 << k, pref) >> k & 1
-            )
+    Ch(S) = S), each mapped to the k outside S with k in Ch(S + k).
+
+    S is kept whole when no entry ranked above it lies inside it.  Then the
+    entries inside S + k ranked above S are those with exactly k outside S,
+    and Ch(S + k) holds k when one of them exists; one scan of the entries
+    above S finds both.
+    """
+    ranked = pref.ranked
+    kept = {0: sum(entry for entry in ranked if not entry & (entry - 1))}
+    for rank, s in enumerate(ranked):
+        wants = 0
+        for entry in ranked[:rank]:
+            outside = entry & ~s
+            if not outside:
+                break  # an entry above S lies inside it
+            if not outside & (outside - 1):
+                wants |= outside
+        else:
+            kept[s] = wants
     return kept
 
 
 @lru_cache(maxsize=1024)
 def _enumerate_cached(p: Profile) -> tuple[Matching, ...]:
     n, m = p.num_firms, p.num_workers
-    # _kept_whole scans at most (len(ranked) + 1)^2 * (opposite + 1) entries
+    # _kept_whole scans at most (L + 1) * L / 2 entries of a list of L; the
+    # charge per list, (L + 1)^2 * (opposite + 1), bounds that with room to
+    # spare and sets which markets are refused before the search
     left = SEARCH_BUDGET - sum(
         (len(pref.ranked) + 1) ** 2 * (opposite + 1)
         for prefs, opposite in ((p.firm_prefs, m), (p.worker_prefs, n)) for pref in prefs
@@ -108,16 +121,20 @@ def _enumerate_cached(p: Profile) -> tuple[Matching, ...]:
     if left < 0:
         raise UnsupportedSizeError(f"stable-set enumeration needs more than its budget "
                                    f"of {SEARCH_BUDGET} steps before the search starts")
-    firm_sets = [tuple(_kept_whole(pref, m).items()) for pref in p.firm_prefs]
+    firm_sets = [tuple(_kept_whole(pref).items()) for pref in p.firm_prefs]
     # floors[w][f] maps each prefix (firms 0..f) of w's kept-whole columns to
-    # the firms that w would add under every column with that prefix
+    # the firms that w would add under every column with that prefix; the
+    # last level is the kept-whole map, and each lower one folds the one above
     floors = []
     for pref in p.worker_prefs:
-        levels: list[dict[int, int]] = [{} for _ in range(n)]
-        for col, wants in _kept_whole(pref, n).items():
-            for f, level in enumerate(levels):
+        levels = [_kept_whole(pref)]
+        for f in range(n - 2, -1, -1):
+            lower: dict[int, int] = {}
+            for col, wants in levels[-1].items():
                 prefix = col & ((2 << f) - 1)
-                level[prefix] = level.get(prefix, wants) & wants
+                lower[prefix] = lower.get(prefix, wants) & wants
+            levels.append(lower)
+        levels.reverse()
         floors.append(levels)
 
     found: list[tuple[int, ...]] = []

@@ -4,9 +4,10 @@ The oracles here stay deliberately independent of the package's fast paths:
 stability is re-derived from the definitions via a plain-Python scan, the law
 of aggregate demand via an all-subset-pairs check, both axioms' first
 witnesses via nested scans of every offer and removal, responsiveness via
-the pairwise swap/add conditions, deferred acceptance via a loop that
-re-evaluates every agent in every round, and the side optimum via
-``compare_common`` over every pair of members.
+the pairwise swap/add conditions, the responsive order by sorting rank
+vectors, the kept-whole sets via ``choice_mask`` on every set and partner,
+deferred acceptance via a loop that re-evaluates every agent in every round,
+and the side optimum via ``compare_common`` over every pair of members.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import combinations
 import pytest
 
 from manymatch import AgentId, Matching, Profile, QuotaRanking, Side, responsive_preference
+from manymatch import axioms
 from manymatch.axioms import check_substitutable
 from manymatch.core import PreconditionError, PreferenceRelation, bits, choice_mask, transpose
 from manymatch.solver import OrderVerdict, compare_common
@@ -158,6 +160,39 @@ def first_lad_violation(pref: PreferenceRelation):
             if choice_mask(reduced, pref).bit_count() > count:
                 return offer, reduced, None, removed
     return None
+
+
+def sorted_responsive_order(q: QuotaRanking) -> tuple[int, ...]:
+    """The responsive order built by sorting: every set of at most ``quota``
+    ranked individuals, keyed by its sorted rank vector padded with a
+    sentinel worse than every rank."""
+    rank = {idx: r for r, idx in enumerate(q.individual_ranking)}
+    cap = min(q.quota, len(q.individual_ranking))
+    sentinel = len(q.individual_ranking)
+    subsets = []
+    for size in range(1, cap + 1):
+        subsets.extend(combinations(q.individual_ranking, size))
+
+    def key(members):
+        ranks = sorted(rank[i] for i in members)
+        return tuple(ranks) + (sentinel,) * (cap - len(ranks))
+
+    subsets.sort(key=key)
+    return tuple(pset(*members) for members in subsets)
+
+
+def plain_kept_whole(pref: PreferenceRelation, opposite_count: int) -> dict[int, int]:
+    """The sets ``pref`` keeps whole by definition (the empty set, then each
+    listed S with Ch(S) = S in list order), each mapped to the k outside S
+    with k in Ch(S + k), every choice taken by ``choice_mask``."""
+    kept = {}
+    for s in (0, *pref.ranked):
+        if choice_mask(s, pref) == s:
+            kept[s] = sum(
+                1 << k for k in range(opposite_count)
+                if not s >> k & 1 and choice_mask(s | 1 << k, pref) >> k & 1
+            )
+    return kept
 
 
 def responsive_oracle(pref: PreferenceRelation, q: QuotaRanking) -> bool:
@@ -325,6 +360,21 @@ def firms_immune_market():
 @pytest.fixture
 def workers_immune_market():
     return bundled("workers-immune")
+
+
+@pytest.fixture
+def no_choice_table(monkeypatch):
+    """Fail the test when an axiom check builds a choice table; the check
+    caches are emptied before and after, so every check runs."""
+    def fail(pref, universe):
+        pytest.fail(f"built a choice table for {pref.owner}: {pref.ranked}")
+
+    monkeypatch.setattr(axioms, "_choice_table", fail)
+    axioms.check_substitutable.cache_clear()
+    axioms.check_lad.cache_clear()
+    yield
+    axioms.check_substitutable.cache_clear()
+    axioms.check_lad.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ import time
 import pytest
 
 from conftest import (
+    first_lad_violation,
+    first_substitutability_violation,
     pset,
     random_market_instance,
     random_quota_ranking,
@@ -211,6 +213,8 @@ def test_criterion_7_axiom_classification():
         pref = responsive_preference(q)
         assert check_substitutable(pref).holds, f"ranking {i}"
         assert check_lad(pref).holds, f"ranking {i}"
+        assert first_substitutability_violation(pref) is None, f"ranking {i}"
+        assert first_lad_violation(pref) is None, f"ranking {i}"
     print("\n[PASS] criterion 7: axiom checkers classify the fixture relations and "
           "1000 generated responsive relations correctly")
 

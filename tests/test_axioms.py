@@ -13,9 +13,10 @@ from conftest import (
     random_quota_ranking,
     relation,
     responsive_oracle,
+    sorted_responsive_order,
 )
 from manymatch import AgentId, QuotaRanking, Side, responsive_preference
-from manymatch.axioms import Axiom, check_lad, check_substitutable
+from manymatch.axioms import Axiom, AxiomReport, check_lad, check_substitutable
 from manymatch.core import PreferenceRelation, UnsupportedSizeError, choice_mask
 
 F = Side.FIRM
@@ -91,6 +92,14 @@ class TestLad:
         with pytest.raises(UnsupportedSizeError):
             check_substitutable(big)
 
+    def test_size_cap_holds_for_a_responsive_list(self):
+        # seventeen singletons: the responsive order for quota 1, refused all the same
+        singles = relation(AgentId(F, 0), *((i,) for i in range(17)))
+        with pytest.raises(UnsupportedSizeError):
+            check_lad(singles)
+        with pytest.raises(UnsupportedSizeError):
+            check_substitutable(singles)
+
     def test_sixteen_members_at_the_cap_are_checked(self):
         at_cap = responsive_preference(
             QuotaRanking(AgentId(F, 0), tuple(range(15, -1, -1)), 2))
@@ -130,6 +139,50 @@ class TestResponsiveGenerator:
     def test_quota_below_one_rejected(self):
         with pytest.raises(ValueError):
             QuotaRanking(owner=AgentId(F, 0), individual_ranking=(0,), quota=0)
+
+    def test_order_equals_the_sorted_construction(self):
+        rng = random.Random(20261019)
+        for _ in range(600):
+            opposite = rng.randint(1, 14)
+            ranking = tuple(rng.sample(range(opposite), rng.randint(0, min(opposite, 9))))
+            q = QuotaRanking(AgentId(F, 0), ranking, rng.randint(1, 6))
+            assert responsive_preference(q).ranked == sorted_responsive_order(q)
+
+
+def random_responsive_relations(rng, count, max_members=9):
+    """Generator outputs for rankings of 0 to ``max_members`` members drawn
+    from up to 14 partners, quotas 1-6."""
+    for _ in range(count):
+        members = rng.randint(0, max_members)
+        opposite = rng.randint(max(members, 1), 14)
+        ranking = tuple(rng.sample(range(opposite), members))
+        yield responsive_preference(QuotaRanking(AgentId(W, 0), ranking, rng.randint(1, 6)))
+
+
+class TestRecognizedResponsiveLists:
+    def test_every_generator_output_holds_without_a_table(self, no_choice_table):
+        for pref in random_responsive_relations(random.Random(14), 400):
+            assert check_substitutable(pref) == AxiomReport(Axiom.SUBSTITUTABILITY, True)
+            assert check_lad(pref) == AxiomReport(Axiom.LAD, True)
+
+    def test_perturbed_lists_match_the_oracles(self):
+        # one entry dropped, two entries swapped, or a superset of an entry
+        # appended: each takes the table path unless it is still responsive
+        rng = random.Random(1410)
+        for pref in random_responsive_relations(rng, 300, max_members=6):
+            ranked = list(pref.ranked)
+            if not ranked:
+                continue
+            dropped = ranked[:]
+            del dropped[rng.randrange(len(ranked))]
+            swapped = ranked[:]
+            i, j = rng.sample(range(len(ranked)), 2) if len(ranked) > 1 else (0, 0)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            base = rng.choice(ranked)
+            extra = rng.choice([k for k in range(16) if not base >> k & 1])
+            appended = ranked if base | 1 << extra in ranked else ranked + [base | 1 << extra]
+            for perturbed in (dropped, swapped, appended):
+                assert_checkers_match_oracles(PreferenceRelation(pref.owner, tuple(perturbed)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +280,8 @@ def test_generator_output_satisfies_both_axioms(q):
     pref = responsive_preference(q)
     assert check_substitutable(pref).holds
     assert check_lad(pref).holds
+    assert first_substitutability_violation(pref) is None
+    assert first_lad_violation(pref) is None
 
 
 @given(quota_rankings(), st.integers(0, (1 << 5) - 1))
@@ -252,3 +307,5 @@ def test_generator_corpus_thousand_rankings():
         pref = responsive_preference(q)
         assert check_substitutable(pref).holds
         assert check_lad(pref).holds
+        assert first_substitutability_violation(pref) is None
+        assert first_lad_violation(pref) is None

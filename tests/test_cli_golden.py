@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
-from manymatch.cli import main
+from manymatch.cli import _json_text, main
 from manymatch.fileformat import serialize_market
 from manymatch.markets import BUNDLED, bundled
 
@@ -51,11 +51,12 @@ def digest(argv: list[str]) -> str:
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
-def observed_digests(directory: Path) -> dict[str, str]:
-    digests = {}
+def golden_invocations(directory: Path):
+    """Each golden key with the argument list it runs, the bundled markets
+    written to ``directory``."""
     for fmt in FORMATS:
         key = f"paper-examples --format {fmt}"
-        digests[key] = digest(key.split())
+        yield key, key.split()
     for market in BUNDLED:
         instance = bundled(market)
         path = directory / f"{market}.market"
@@ -64,9 +65,11 @@ def observed_digests(directory: Path) -> dict[str, str]:
                                              instance.worker_names[0]):
             for fmt in FORMATS:
                 tail = [*options, "--format", fmt]
-                key = " ".join([command, market, *tail])
-                digests[key] = digest([command, str(path), *tail])
-    return digests
+                yield " ".join([command, market, *tail]), [command, str(path), *tail]
+
+
+def observed_digests(directory: Path) -> dict[str, str]:
+    return {key: digest(argv) for key, argv in golden_invocations(directory)}
 
 
 def test_cli_outputs_match_the_recorded_digests(tmp_path):
@@ -76,3 +79,36 @@ def test_cli_outputs_match_the_recorded_digests(tmp_path):
     assert sorted(actual) == sorted(expected)
     differing = [key for key in expected if actual[key] != expected[key]]
     assert not differing, "output differs for: " + "; ".join(differing)
+
+
+def assert_writes_as_json_dumps(document) -> None:
+    assert _json_text(document) == json.dumps(document, indent=2, ensure_ascii=False)
+
+
+def test_json_writer_matches_json_dumps_on_every_golden_payload(tmp_path):
+    written = 0
+    for key, argv in golden_invocations(tmp_path):
+        if key.endswith("--format json"):
+            out = StringIO()
+            with redirect_stdout(out), redirect_stderr(StringIO()):
+                main(argv)
+            if out.getvalue():  # an exit-3 error prints nothing on stdout
+                assert_writes_as_json_dumps(json.loads(out.getvalue()))
+                written += 1
+    assert written == 55
+
+
+def test_json_writer_matches_json_dumps_on_awkward_names(tmp_path):
+    path = tmp_path / "names.market"
+    path.write_text('firms: a"b c\\d\nworkers: é 日本 w\n'
+                    'pref a"b: é 日本 | é | 日本\npref c\\d:\n'
+                    'pref é: a"b\npref 日本: a"b | c\\d\npref w: c\\d\n', encoding="utf-8")
+    for command in (["validate"], ["solve", "--rule", "firm-optimal"], ["enumerate"]):
+        out = StringIO()
+        with redirect_stdout(out):
+            assert main([*command, str(path), "--format", "json"]) == 0
+        document = json.loads(out.getvalue())
+        assert document["instance"]["firms"] == ['a"b', "c\\d"]
+        assert_writes_as_json_dumps(document)
+    assert_writes_as_json_dumps({"": {}, "empty": [], "nested": [[], {}, [{}]],
+                                 'q"\\\t\u2028': ["\x00", "∅ é", True, False, None, 0, -7, 2**70]})

@@ -267,6 +267,14 @@ def test_da_equals_plain_loop(responsive_corpus):
             assert deferred_acceptance(p, side) == plain_deferred_acceptance(p, side)[0], (k, side)
 
 
+def test_da_precondition_on_sixteen_member_responsive_lists_builds_no_table(no_choice_table):
+    # 32 relations of 136 entries over 16 members, each at the member cap: the
+    # substitutability gate recognizes them instead of scanning 2^16 sets each
+    p = _responsive_square(16, 16, 2)
+    for side in (F, W):
+        assert deferred_acceptance(p, side) == plain_deferred_acceptance(p, side)[0]
+
+
 def test_rejections_bound_round_count(demo_market, monkeypatch):
     # Rejections are cumulative, so there are at most n*m of them.  A
     # proposer is evaluated in the first round and after that only in a

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     brute_stable_matchings,
+    plain_kept_whole,
     random_profile,
     random_relation,
     random_substitutable_profile,
@@ -31,6 +32,7 @@ from manymatch import (
 from manymatch.core import UnsupportedSizeError, matched_set
 from manymatch.stability import (
     BlockingPair,
+    _kept_whole,
     blocking_pairs,
     check_same_partner_counts,
     check_underfilled_constancy,
@@ -182,6 +184,14 @@ def test_enumerate_matches_plain_scan_when_every_set_is_kept_whole():
     ss = enumerate_stable(p)
     assert list(ss) == brute_stable_matchings(p)
     assert ss == (Matching((0b1111,) * 3),)
+
+
+@settings(max_examples=500)
+@given(st.integers(1, 6), st.randoms(use_true_random=False))
+def test_kept_whole_sets_match_the_definition(opposite, rng):
+    # arbitrary lists of up to 12 entries: same sets, same wants, same key order
+    pref = random_relation(AgentId(F, 0), opposite, rng, max_entries=12)
+    assert list(_kept_whole(pref).items()) == list(plain_kept_whole(pref, opposite).items())
 
 
 @pytest.mark.parametrize("n", [6, 8, 10])
