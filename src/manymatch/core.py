@@ -201,13 +201,20 @@ class Profile:
 
 
 def replace_preference(profile: Profile, agent: AgentId, pref: PreferenceRelation) -> Profile:
-    """A new profile identical to ``profile`` except at ``agent``."""
+    """A new profile identical to ``profile`` except at ``agent``; only ``pref`` is checked."""
     if pref.owner != agent:
         raise ValueError(f"replacement preference owned by {pref.owner}, not {agent}")
     sides = [profile.firm_prefs, profile.worker_prefs]
     s, i = int(agent.side is Side.WORKER), agent.index
+    if i >= len(sides[s]):
+        raise ValueError(f"no {agent} in the profile")
+    if max(pref.ranked, default=0) >> len(sides[1 - s]):
+        raise ValueError(f"preference of {pref.owner} references unknown partners")
     sides[s] = sides[s][:i] + (pref,) + sides[s][i + 1:]
-    return Profile(*sides)
+    swapped = object.__new__(Profile)  # set up as ``__init__`` does, minus ``__post_init__``
+    object.__setattr__(swapped, "firm_prefs", sides[0])
+    object.__setattr__(swapped, "worker_prefs", sides[1])
+    return swapped
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 targets, misreport evaluation, the manipulability-construction verifier, and
 an exhaustive counterexample search for markets where the construction fails.
 
-Every evaluated report is one ``ManipulationOutcome``: the misreport, the
-rule's output under it, and that output judged under the agent's true
-relation.  The verifier's four assertions and the search's profitable
-findings are read off these records.
+Every profitable report and every ``verify_gmt`` check is one
+``ManipulationOutcome``: the misreport, the rule's output under it, and that
+output judged under the agent's true relation.  The verifier's four
+assertions and the search's profitable findings are read off these records.
 
 The central construction: when a rule assigns an agent less than its
 side-optimal stable assignment, the agent reports its true relation
@@ -75,10 +75,6 @@ class ManipulationOutcome:
     manipulated_stable_under_truth: bool | None = None
     failure: str | None = None
 
-    @property
-    def profitable(self) -> bool:
-        return self.verdict_common is OrderVerdict.BETTER_STRICT
-
 
 def restrict_preference(pref: PreferenceRelation, t: int) -> PreferenceRelation:
     """The relation declaring unacceptable every set not contained in the
@@ -119,23 +115,26 @@ def evaluate_misreport(
     under the true relation against ``baseline``, the rule's output on
     ``p_true``; flag whether the manipulated matching is even stable under
     the truth (it need not be)."""
-    return _outcome(m, rule, p_true, replace_preference(p_true, a, m.reported), baseline)
+    return _evaluated(m, rule, p_true, replace_preference(p_true, a, m.reported), baseline)
 
 
-def _outcome(
-    m: Misreport, rule: StableRule, p_true: Profile, swapped: Profile, baseline: Matching
-) -> ManipulationOutcome:
+def _evaluated(m: Misreport, rule: StableRule, p_true: Profile, swapped: Profile,
+               baseline: Matching) -> ManipulationOutcome:
     """``evaluate_misreport`` on an already swapped profile."""
-    a = m.agent
     try:
         manipulated = apply_rule(rule, swapped)
     except (PreconditionError, NoStableMatchingError) as exc:
         return ManipulationOutcome(misreport=m, failure=str(exc))
+    return _outcome(m, p_true, manipulated, baseline,
+                    compare_common(manipulated, baseline, m.agent, p_true))
+
+
+def _outcome(m: Misreport, p_true: Profile, manipulated: Matching, baseline: Matching,
+             verdict_common: OrderVerdict) -> ManipulationOutcome:
+    """The record of a report the rule processed, given its list-order verdict."""
     return ManipulationOutcome(
-        misreport=m,
-        manipulated=manipulated,
-        verdict_common=compare_common(manipulated, baseline, a, p_true),
-        verdict_blair=compare_blair(manipulated, baseline, a, p_true),
+        misreport=m, manipulated=manipulated, verdict_common=verdict_common,
+        verdict_blair=compare_blair(manipulated, baseline, m.agent, p_true),
         manipulated_stable_under_truth=is_stable(manipulated, p_true),
     )
 
@@ -253,7 +252,7 @@ def verify_gmt(
     for target in targets:
         misreport = truncation_strategy(a, target, p)
         swapped = replace_preference(p, a, misreport.reported)
-        outcome = _outcome(misreport, rule, p, swapped, baseline)
+        outcome = _evaluated(misreport, rule, p, swapped, baseline)
         checks.append(GmtCheck(target, outcome, is_stable(target, swapped)))
     return GmtVerification(
         agent=a, rule=rule, applicable=applicable, baseline=baseline,
@@ -338,11 +337,14 @@ def gmt_counterexample_check(
     rule_failures = 0
     profitable = []
     for reported in candidates:
-        outcome = evaluate_misreport(a, make_misreport(a, reported), rule, p, baseline)
-        if outcome.failure is not None:
+        try:
+            manipulated = apply_rule(rule, replace_preference(p, a, reported))
+        except (PreconditionError, NoStableMatchingError):
             rule_failures += 1
-        elif outcome.profitable:
-            profitable.append(outcome)
+            continue
+        common = compare_common(manipulated, baseline, a, p)
+        if common is OrderVerdict.BETTER_STRICT:
+            profitable.append(_outcome(make_misreport(a, reported), p, manipulated, baseline, common))
 
     return CounterexampleReport(
         agent=a, rule=rule, mode=mode, not_applicable=not applicable, baseline=baseline,

@@ -7,7 +7,8 @@ witnesses via nested scans of every offer and removal, responsiveness via
 the pairwise swap/add conditions, the responsive order by sorting rank
 vectors, the kept-whole sets via ``choice_mask`` on every set and partner,
 deferred acceptance via a loop that re-evaluates every agent in every round,
-and the side optimum via ``compare_common`` over every pair of members.
+the side optimum via ``compare_common`` over every pair of members, and the
+misreport search via a loop that fully evaluates every candidate.
 """
 
 from __future__ import annotations
@@ -20,9 +21,23 @@ import pytest
 from manymatch import AgentId, Matching, Profile, QuotaRanking, Side, responsive_preference
 from manymatch import axioms
 from manymatch.axioms import check_substitutable
-from manymatch.core import PreconditionError, PreferenceRelation, bits, choice_mask, transpose
-from manymatch.solver import OrderVerdict, compare_common
-from manymatch.stability import is_stable
+from manymatch.core import (
+    PreconditionError,
+    PreferenceRelation,
+    bits,
+    choice_mask,
+    matched_set,
+    transpose,
+)
+from manymatch.manipulation import (
+    CounterexampleReport,
+    _all_relations,
+    _sublist_relations,
+    evaluate_misreport,
+    make_misreport,
+)
+from manymatch.solver import OrderVerdict, StableRule, apply_rule, compare_common, side_optimal
+from manymatch.stability import enumerate_stable, is_stable
 from manymatch.markets import bundled
 
 # ---------------------------------------------------------------------------
@@ -97,6 +112,37 @@ def pairwise_side_optimal(ss: tuple[Matching, ...], p: Profile, side: Side) -> M
         ):
             return candidate
     return None
+
+
+def plain_counterexample_search(p: Profile, rule: StableRule, a: AgentId,
+                                exhaustive: bool = False) -> CounterexampleReport:
+    """``gmt_counterexample_check`` as a loop that runs ``evaluate_misreport``
+    on every candidate, in the search's candidate order, and keeps the
+    profitable outcomes.  The truthful output and the side optimum are
+    computed afresh; the caller keeps the candidate count under the cap."""
+    if exhaustive:
+        mode, scope = "exhaustive", "all strict preference lists over the opposite side"
+        total, candidates = _all_relations(a, p.side_count(a.side.opposite))
+    else:
+        mode, scope = "sublists", ("order-preserving sublists of the true list only; "
+                                   "relations outside the true list were not searched")
+        total, candidates = _sublist_relations(p[a])
+    baseline = apply_rule(rule, p)
+    optimum = side_optimal(enumerate_stable(p), p, a.side)
+    applicable = optimum is None or matched_set(baseline, a) != matched_set(optimum, a)
+    if not applicable:
+        total, candidates = 0, ()
+        scope = "agent already receives its side-optimal assignment"
+    outcomes = [evaluate_misreport(a, make_misreport(a, reported), rule, p, baseline)
+                for reported in candidates]
+    failures = sum(outcome.failure is not None for outcome in outcomes)
+    return CounterexampleReport(
+        agent=a, rule=rule, mode=mode, not_applicable=not applicable, baseline=baseline,
+        candidates_total=total, evaluated=total - failures, rule_failures=failures,
+        profitable=tuple(outcome for outcome in outcomes
+                         if outcome.verdict_common is OrderVerdict.BETTER_STRICT),
+        search_scope=scope,
+    )
 
 
 def subsets_of(mask: int):

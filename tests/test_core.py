@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import pset, relation
-from manymatch import AgentId, Matching, Profile, Side
+from manymatch import AgentId, Matching, Profile, Side, StableRule, verify_gmt
 from manymatch.axioms import check_substitutable
 from manymatch.core import (
     MAX_SIDE,
@@ -22,6 +22,7 @@ from manymatch.core import (
     matched_set,
     replace_preference,
 )
+from manymatch.markets import bundled
 
 F = Side.FIRM
 W = Side.WORKER
@@ -130,8 +131,53 @@ class TestProfile:
 
     def test_replace_owner_mismatch_rejected(self):
         p = two_by_two_profile()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc_info:
             replace_preference(p, AgentId(F, 0), relation(AgentId(F, 1), (0,)))
+        assert str(exc_info.value) == "replacement preference owned by firm 1, not firm 0"
+
+    @pytest.mark.parametrize("agent", [AgentId(F, 2), AgentId(W, 5)])
+    def test_replace_for_an_agent_outside_the_profile_rejected(self, agent):
+        with pytest.raises(ValueError) as exc_info:
+            replace_preference(two_by_two_profile(), agent, relation(agent, (0,)))
+        assert str(exc_info.value) == f"no {agent} in the profile"
+
+    def test_replaced_profile_equals_one_built_from_scratch(self):
+        # the swap skips the checks of the unchanged relations; equality,
+        # hash and pickling must not tell the two routes apart, and the
+        # memo and hash that the source carries stay with the source
+        p = bundled("manipulation-demo").profile
+        verify_gmt(AgentId(W, 0), StableRule.FIRM_OPTIMAL, p)
+        hash(p)
+        assert "_memo" in vars(p)
+        a = AgentId(W, 0)
+        new = relation(a, (2,), (0,))
+        q = replace_preference(p, a, new)
+        assert "_memo" not in vars(q) and "_hash" not in vars(q)
+        built = Profile(p.firm_prefs, (new,) + p.worker_prefs[1:])
+        assert q == built and hash(q) == hash(built)
+        assert pickle.loads(pickle.dumps(q)) == built
+        assert q != p and hash(q) != hash(p)
+
+    @given(st.sampled_from([AgentId(F, 0), AgentId(F, 1), AgentId(W, 0), AgentId(W, 2)]),
+           st.lists(st.integers(1, 31), max_size=4, unique=True))
+    def test_replace_rejects_what_the_constructor_rejects(self, agent, ranked):
+        # a 2x3 profile, so a firm's list and a worker's list have different ranges
+        firms = tuple(relation(AgentId(F, i), (0, 1), (2,)) for i in range(2))
+        workers = tuple(relation(AgentId(W, j), (0,), (1,)) for j in range(3))
+        p, pref = Profile(firms, workers), PreferenceRelation(agent, tuple(ranked))
+        sides = [list(firms), list(workers)]
+        sides[agent.side is W][agent.index] = pref
+
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as exc:
+                return str(exc)
+
+        expected = outcome(lambda: Profile(tuple(sides[0]), tuple(sides[1])))
+        assert outcome(lambda: replace_preference(p, agent, pref)) == expected
+        if isinstance(expected, str):
+            assert expected == f"preference of {agent} references unknown partners"
 
 
 # Each builds a new value equal to the last one it built.

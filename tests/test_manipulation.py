@@ -9,7 +9,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pset, random_substitutable_relation, relation, subsets_of
+from conftest import (
+    plain_counterexample_search,
+    pset,
+    random_profile,
+    random_responsive_market,
+    random_substitutable_relation,
+    relation,
+    subsets_of,
+)
 from manymatch import (
     AgentId,
     Matching,
@@ -201,7 +209,7 @@ class TestEvaluateMisreport:
         outcome = evaluate_misreport(w1, m, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
         assert outcome.failure is not None
         assert outcome.manipulated is None
-        assert not outcome.profitable
+        assert outcome.verdict_common is None
 
     def test_no_stable_matching_under_report(self, empty_stable_set_profile):
         # make the true profile solvable by swapping in a tame relation for
@@ -460,6 +468,25 @@ class TestCounterexampleSearch:
         assert sum(q is p for q in profiles) == 0
         assert len(profiles) == report.candidates_total
 
+    def test_only_profitable_reports_are_judged_in_full(self, monkeypatch, demo_market):
+        # one rule run and one list-order verdict per candidate; the Blair
+        # verdict and the stability test only for the reports kept
+        import manymatch.manipulation as manipulation
+
+        calls = {}
+        for name in ("apply_rule", "compare_common", "compare_blair", "is_stable"):
+            def counted(*args, _name=name, _original=getattr(manipulation, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+            monkeypatch.setattr(manipulation, name, counted)
+        report = gmt_counterexample_check(demo_market.profile, StableRule.FIRM_OPTIMAL,
+                                          AgentId(W, 0))
+        found = len(report.profitable)
+        assert 2 <= found < report.evaluated
+        assert calls["compare_blair"] == calls["is_stable"] == found
+        assert calls["apply_rule"] == report.candidates_total + 1  # the truthful run too
+        assert calls["compare_common"] == report.evaluated
+
     def test_exhaustive_cap(self, firms_immune_market):
         p = firms_immune_market.profile
         with pytest.raises(UnsupportedSizeError):
@@ -571,6 +598,56 @@ def test_restriction_faithfulness_on_corpus(responsive_corpus):
                 restricted = restrict_preference(p[a], t)
                 assert restriction_items_hold(p[a], restricted, t)
                 assert set(restricted.ranked) <= set(p[a].ranked)
+
+
+def _report_or_refusal(search, p, rule, a, exhaustive):
+    try:
+        return search(p, rule, a, exhaustive)
+    except (PreconditionError, NoStableMatchingError) as exc:
+        return type(exc), exc.agent, str(exc)
+
+
+def _search_markets(generator: str, count: int) -> list[Profile]:
+    """The first ``count`` random 2x3 or 3x3 profiles with two or more stable
+    matchings: arbitrary lists from ``random_profile`` (no axiom guaranteed),
+    or responsive ones (always 3x3).  With one stable matching every agent
+    already has its side optimum and no search runs."""
+    markets, seed = [], 0
+    while len(markets) < count:
+        rng = random.Random(seed)
+        seed += 1
+        if generator == "responsive":
+            p = random_responsive_market(rng, max_side=3)[0]
+        else:
+            p = random_profile(rng, max_side=3)
+        if (sorted((p.num_firms, p.num_workers)) in ([2, 3], [3, 3])
+                and len(enumerate_stable(p)) >= 2):
+            markets.append(p)
+    return markets
+
+
+def test_search_equals_the_plain_per_candidate_search():
+    # the search judges each report by its list order before building its
+    # record; the plain loop builds every record and keeps the profitable ones
+    seen = {"profitable": 0, "failures": 0, "exhaustive": 0, "refused": 0}
+    for p in _search_markets("arbitrary", 30) + _search_markets("responsive", 12):
+        for rule in StableRule:
+            for a in p.agents():
+                modes = (False, True) if p.side_count(a.side.opposite) <= 2 else (False,)
+                for exhaustive in modes:
+                    fast = _report_or_refusal(gmt_counterexample_check, p, rule, a, exhaustive)
+                    plain = _report_or_refusal(plain_counterexample_search, p, rule, a,
+                                               exhaustive)
+                    # the generated equality compares every field, the
+                    # profitable outcomes in order included
+                    assert fast == plain, (p, rule, a, exhaustive)
+                    if isinstance(fast, tuple):
+                        seen["refused"] += 1
+                        continue
+                    seen["profitable"] += len(fast.profitable)
+                    seen["failures"] += fast.rule_failures
+                    seen["exhaustive"] += exhaustive
+    assert all(seen.values()), seen
 
 
 def _verification_or_refusal(a, rule, p, require_axioms):
