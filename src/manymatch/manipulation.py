@@ -14,6 +14,24 @@ stays stable under the misreport, the rule must hand the agent exactly the
 target assignment, and the agent strictly gains in both the Blair and the
 listed order.  This chain needs both substitutability and the law of
 aggregate demand; the bundled markets show it breaking without the latter.
+
+The counterexample search takes three exact shortcuts, each resting on a
+fact about deferred acceptance on substitutable relations:
+
+- Under the two DA rules, a report fails exactly when it is not
+  substitutable: every unchanged relation passed DA's precondition in the
+  truthful run, so the swapped profile fails that precondition exactly when
+  the report does.  Such a report is counted as a rule failure without
+  running the rule.
+- Under the two DA rules, the agent's output is an entry of its reported
+  list or the empty set, and the truthful output is an entry of the true
+  list or empty, so the empty set never beats it.  A report that keeps no
+  entry the true list ranks above the truthful output cannot be profitable;
+  it is counted as evaluated without running the rule.
+- When every relation is substitutable, deferred acceptance proposed by an
+  agent's side gives every agent there its best stable assignment (Roth
+  1984), so the side optimum is that DA's output and the stable set is not
+  enumerated.  Off that domain the optimum is read off the enumeration.
 """
 
 from __future__ import annotations
@@ -31,13 +49,22 @@ from .core import (
     PreconditionError,
     PreferenceRelation,
     Profile,
+    Side,
     UnsupportedSizeError,
     bits,
     choice_mask,
     matched_set,
     replace_preference,
 )
-from .solver import OrderVerdict, StableRule, apply_rule, compare_blair, compare_common, side_optimal
+from .solver import (
+    OrderVerdict,
+    StableRule,
+    apply_rule,
+    compare_blair,
+    compare_common,
+    deferred_acceptance,
+    side_optimal,
+)
 from .stability import enumerate_stable, is_stable
 
 # The most reports one misreport search tries: all 2^14 sublists of a
@@ -194,6 +221,25 @@ def _kept(p: Profile, key: Hashable, compute: Callable[[], _T]) -> _T:
     return memo[key]
 
 
+def _substitutable(p: Profile) -> bool:
+    """Does every relation of ``p`` satisfy substitutability?  A relation
+    listing more members than the check accepts counts as outside the
+    domain, where nothing needs the check to succeed."""
+    try:
+        return all(check_substitutable(pref).holds for pref in p.firm_prefs + p.worker_prefs)
+    except UnsupportedSizeError:
+        return False
+
+
+def _side_optimum(p: Profile, side: Side) -> Matching | None:
+    """``side_optimal(enumerate_stable(p), p, side)``; when every relation is
+    substitutable, the output of deferred acceptance proposed by ``side``,
+    which is that optimum (Roth 1984)."""
+    if _substitutable(p):
+        return deferred_acceptance(p, side)
+    return side_optimal(enumerate_stable(p), p, side)
+
+
 def _truthful_standing(
     a: AgentId, rule: StableRule, p: Profile
 ) -> tuple[Matching, Matching | None, bool]:
@@ -205,7 +251,7 @@ def _truthful_standing(
     on ``p`` (by rule and by side) for every later agent of the same profile
     object; a swapped profile is a new object and starts with none."""
     baseline = _kept(p, rule, lambda: apply_rule(rule, p))
-    optimum = _kept(p, a.side, lambda: side_optimal(enumerate_stable(p), p, a.side))
+    optimum = _kept(p, a.side, lambda: _side_optimum(p, a.side))
     applicable = optimum is None or matched_set(baseline, a) != matched_set(optimum, a)
     return baseline, optimum, applicable
 
@@ -276,6 +322,15 @@ class CounterexampleReport:
     search_scope: str
 
 
+def _valid_relation(owner: AgentId, ranked: tuple[int, ...]) -> PreferenceRelation:
+    """``PreferenceRelation(owner, ranked)`` without ``__post_init__``, for
+    lists of distinct in-range sets taken from a list already checked."""
+    pref = object.__new__(PreferenceRelation)
+    object.__setattr__(pref, "owner", owner)
+    object.__setattr__(pref, "ranked", ranked)
+    return pref
+
+
 def _all_relations(owner: AgentId, opposite_count: int) -> tuple[int, Iterator[PreferenceRelation]]:
     """Every strict list of distinct nonempty subsets of the opposite side,
     shortest first, and their number: the sum over l of P!/(P-l)! for P
@@ -293,7 +348,7 @@ def _all_relations(owner: AgentId, opposite_count: int) -> tuple[int, Iterator[P
                 for members in combinations(range(opposite_count), size)]
         for length in range(sets + 1):
             for ranked in permutations(pool, length):
-                yield PreferenceRelation(owner=owner, ranked=ranked)
+                yield _valid_relation(owner, ranked)
 
     return count, relations()
 
@@ -302,7 +357,7 @@ def _sublist_relations(pref: PreferenceRelation) -> tuple[int, Iterator[Preferen
     """Every order-preserving sublist of the true list, by keep mask, and their number."""
     entries = pref.ranked
     return 1 << len(entries), (
-        PreferenceRelation(owner=pref.owner, ranked=tuple(entries[i] for i in bits(keep)))
+        _valid_relation(pref.owner, tuple(entries[i] for i in bits(keep)))
         for keep in range(1 << len(entries))
     )
 
@@ -318,6 +373,16 @@ def gmt_counterexample_check(
     reports is refused before any work.  Reports the rule cannot process (a
     no-longer-substitutable list fed to deferred acceptance, or a profile
     with no stable matching) count as rule failures, never as profitable.
+
+    A report is profitable when the rule hands ``a`` a set its true list
+    ranks above the baseline's; that set of sets is fixed for the search.
+    Under the two DA rules the rule runs only for a report that is
+    substitutable (every unchanged relation passed DA's precondition in the
+    truthful run, so exactly the other reports fail) and that lists one of
+    those sets (DA's output is a listed set or empty, and the empty set never
+    beats DA's truthful output, which is itself listed or empty).  The
+    selector rules run once per report: only the enumeration tells whether a
+    report leaves a stable matching.
     """
     if exhaustive:
         mode, scope = "exhaustive", "all strict preference lists over the opposite side"
@@ -334,17 +399,29 @@ def gmt_counterexample_check(
         total, candidates = 0, ()
         scope = "agent already receives its side-optimal assignment"
 
+    # the sets ``compare_common`` judges strictly better than the baseline's:
+    # the baseline is stable, so it hands ``a`` a listed set or none, and
+    # exactly the entries ranked above that set beat it
+    true = p[a]
+    better = frozenset(true.ranked[:true.rank_of(matched_set(baseline, a))])
+    da = rule in (StableRule.FIRM_OPTIMAL, StableRule.WORKER_OPTIMAL)
     rule_failures = 0
     profitable = []
     for reported in candidates:
+        if da:
+            if not check_substitutable(reported).holds:
+                rule_failures += 1
+                continue
+            if better.isdisjoint(reported.ranked):
+                continue
         try:
             manipulated = apply_rule(rule, replace_preference(p, a, reported))
         except (PreconditionError, NoStableMatchingError):
             rule_failures += 1
             continue
-        common = compare_common(manipulated, baseline, a, p)
-        if common is OrderVerdict.BETTER_STRICT:
-            profitable.append(_outcome(make_misreport(a, reported), p, manipulated, baseline, common))
+        if matched_set(manipulated, a) in better:
+            profitable.append(_outcome(make_misreport(a, reported), p, manipulated, baseline,
+                                       OrderVerdict.BETTER_STRICT))
 
     return CounterexampleReport(
         agent=a, rule=rule, mode=mode, not_applicable=not applicable, baseline=baseline,

@@ -290,6 +290,25 @@ class TestManipulate:
         assert err == ("error: exhaustive misreport search for f1 "
                        "would try more than 16384 candidates\n")
 
+    def test_selector_search_beside_a_list_too_long_for_the_axiom_checks(self, capsys,
+                                                                         tmp_path):
+        # f1 lists 17 workers, one more than the axiom checks scan.  The
+        # selector rules never need those checks, and the search counts the
+        # market as outside the substitutable domain, where the side optimum
+        # is read off the stable set, rather than refusing it
+        workers = [f"w{j}" for j in range(1, 18)]
+        lines = ["firms: f1 f2", "workers: " + " ".join(workers),
+                 "pref f1: " + " | ".join(workers), "pref f2: w1 | w2 | w3",
+                 "pref w1: f2 | f1", "pref w2: f1 | f2", "pref w3: f1 | f2"]
+        lines += [f"pref {w}: f1" for w in workers[3:]]
+        path = tmp_path / "wide.market"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "manipulate", str(path), "--agent", "w1",
+                             "--rule", "select-first")
+        assert (code, err) == (0, "")
+        assert out == ("agent: w1   rule: select-first   mode: sublists\n"
+                       "not applicable: agent already receives its side-optimal assignment\n")
+
     def test_sublist_search_over_a_long_list_exits_3_before_any_work(self, capsys, tmp_path):
         # quota 2 over 8 workers: f1 lists 28 pairs and 8 singletons, 2^36 sublists
         def ranking(side, i, opposite):

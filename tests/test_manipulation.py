@@ -14,6 +14,7 @@ from conftest import (
     pset,
     random_profile,
     random_responsive_market,
+    random_substitutable_profile,
     random_substitutable_relation,
     relation,
     subsets_of,
@@ -24,6 +25,7 @@ from manymatch import (
     Profile,
     Side,
     StableRule,
+    deferred_acceptance,
     enumerate_stable,
     parse_market,
     side_optimal,
@@ -316,7 +318,7 @@ class TestVerifyGmt:
         import manymatch.manipulation as manipulation
 
         p = demo_market.profile
-        rules, sides, relations = [], [], []
+        rules, sides, optima, relations = [], [], [], []
 
         def counting_apply_rule(r, q):
             if q is p:
@@ -328,17 +330,26 @@ class TestVerifyGmt:
                 sides.append(side)
             return side_optimal(ss, q, side)
 
+        def counting_deferred_acceptance(q, side):
+            if q is p:
+                optima.append(side)
+            return deferred_acceptance(q, side)
+
         def counting_check_lad(pref):
             relations.append(pref)
             return check_lad(pref)
 
         monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
         monkeypatch.setattr(manipulation, "side_optimal", counting_side_optimal)
+        monkeypatch.setattr(manipulation, "deferred_acceptance", counting_deferred_acceptance)
         monkeypatch.setattr(manipulation, "check_lad", counting_check_lad)
         verifications = [verify_gmt(a, rule, p) for rule in StableRule for a in p.agents()]
         assert sum(v.applicable for v in verifications) == 8
         assert rules == list(StableRule)
-        assert sides == [F, W]
+        # every relation is substitutable, so each side's optimum is its DA
+        # output, computed once, and the stable set is never searched for it
+        assert optima == [F, W]
+        assert sides == []
         # the axiom gate checked each relation once for all 28 calls
         assert relations == list(p.firm_prefs + p.worker_prefs)
 
@@ -398,6 +409,24 @@ class TestVerifyGmt:
         assert not v.all_hold
 
 
+def _da_sublist_counts(p: Profile, a: AgentId, baseline: Matching) -> tuple[int, int]:
+    """The rule failures and the rule runs of a DA rule's sublist search,
+    from their definitions: the reports that are not substitutable fail, and
+    the rule runs for each substitutable report that lists a set the true
+    list ranks above the baseline set (the only sets DA can hand ``a`` that
+    gain)."""
+    true = p[a]
+    bar = true.rank_of(matched_set(baseline, a))
+    failures = runs = 0
+    for keep in range(1 << len(true.ranked)):
+        ranked = tuple(entry for i, entry in enumerate(true.ranked) if keep >> i & 1)
+        if not check_substitutable(PreferenceRelation(a, ranked)).holds:
+            failures += 1
+        elif any(true.rank_of(entry) < bar for entry in ranked):
+            runs += 1
+    return failures, runs
+
+
 class TestCounterexampleSearch:
     def test_firms_immune_sublist_search_finds_nothing(self, firms_immune_market):
         p = firms_immune_market.profile
@@ -452,25 +481,36 @@ class TestCounterexampleSearch:
             return apply_rule(r, q, *args)
 
         monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
+
+        def rule_runs(a, report):
+            # a selector rule runs once per candidate; a DA rule only for
+            # the substitutable reports that list a set above the baseline
+            if rule in (StableRule.SELECT_FIRST, StableRule.SELECT_LAST):
+                return report.candidates_total
+            return _da_sublist_counts(p, a, report.baseline)[1]
+
         report = gmt_counterexample_check(p, rule, AgentId(W, 0))
         # the truthful sublist is a candidate too, so count by identity
         assert sum(q is p for q in profiles) == 1
         # every other call is one candidate's report
-        assert len(profiles) == 1 + report.candidates_total
+        assert len(profiles) == 1 + rule_runs(AgentId(W, 0), report)
 
         # a second search on the same object, for another agent that gains
         # (w2 against the firm-side rules, f2 against the worker-side ones),
         # runs only its candidates
         firm_side = rule in (StableRule.FIRM_OPTIMAL, StableRule.SELECT_FIRST)
+        second = AgentId(W if firm_side else F, 1)
         profiles.clear()
-        report = gmt_counterexample_check(p, rule, AgentId(W if firm_side else F, 1))
+        report = gmt_counterexample_check(p, rule, second)
         assert not report.not_applicable
         assert sum(q is p for q in profiles) == 0
-        assert len(profiles) == report.candidates_total
+        assert len(profiles) == rule_runs(second, report)
 
     def test_only_profitable_reports_are_judged_in_full(self, monkeypatch, demo_market):
-        # one rule run and one list-order verdict per candidate; the Blair
-        # verdict and the stability test only for the reports kept
+        # under a DA rule, the rule runs only for substitutable reports that
+        # list a set above the baseline, and a run is judged by the set it
+        # hands the agent, with no call to compare_common; the Blair verdict
+        # and the stability test only for the reports kept
         import manymatch.manipulation as manipulation
 
         calls = {}
@@ -479,13 +519,15 @@ class TestCounterexampleSearch:
                 calls[_name] = calls.get(_name, 0) + 1
                 return _original(*args)
             monkeypatch.setattr(manipulation, name, counted)
-        report = gmt_counterexample_check(demo_market.profile, StableRule.FIRM_OPTIMAL,
-                                          AgentId(W, 0))
+        p, a = demo_market.profile, AgentId(W, 0)
+        report = gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, a)
+        failures, runs = _da_sublist_counts(p, a, report.baseline)
         found = len(report.profitable)
-        assert 2 <= found < report.evaluated
+        assert 2 <= found < runs < report.evaluated
+        assert report.rule_failures == failures
         assert calls["compare_blair"] == calls["is_stable"] == found
-        assert calls["apply_rule"] == report.candidates_total + 1  # the truthful run too
-        assert calls["compare_common"] == report.evaluated
+        assert calls["apply_rule"] == runs + 1  # the truthful run too
+        assert "compare_common" not in calls
 
     def test_exhaustive_cap(self, firms_immune_market):
         p = firms_immune_market.profile
@@ -626,16 +668,36 @@ def _search_markets(generator: str, count: int) -> list[Profile]:
     return markets
 
 
-def test_search_equals_the_plain_per_candidate_search():
+def test_search_equals_the_plain_per_candidate_search(monkeypatch):
     # the search judges each report by its list order before building its
-    # record; the plain loop builds every record and keeps the profitable ones
-    seen = {"profitable": 0, "failures": 0, "exhaustive": 0, "refused": 0}
+    # record, and under a DA rule decides failures by the substitutability
+    # verdict and skips reports listing nothing above the baseline; the
+    # plain loop runs the rule on every report and keeps the profitable ones
+    import manymatch.manipulation as manipulation
+
+    calls, raised = [], []
+
+    def counting_apply_rule(r, q):
+        calls.append(q)
+        try:
+            return apply_rule(r, q)
+        except (PreconditionError, NoStableMatchingError):
+            raised.append(q)
+            raise
+
+    monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
+    seen = {"profitable": 0, "failures": 0, "exhaustive": 0, "refused": 0,
+            "verdict_failures": 0, "skipped_runs": 0}
     for p in _search_markets("arbitrary", 30) + _search_markets("responsive", 12):
         for rule in StableRule:
             for a in p.agents():
                 modes = (False, True) if p.side_count(a.side.opposite) <= 2 else (False,)
                 for exhaustive in modes:
+                    calls.clear()
+                    raised.clear()
                     fast = _report_or_refusal(gmt_counterexample_check, p, rule, a, exhaustive)
+                    runs = sum(q is not p for q in calls)
+                    swapped_raised = sum(q is not p for q in raised)
                     plain = _report_or_refusal(plain_counterexample_search, p, rule, a,
                                                exhaustive)
                     # the generated equality compares every field, the
@@ -647,7 +709,59 @@ def test_search_equals_the_plain_per_candidate_search():
                     seen["profitable"] += len(fast.profitable)
                     seen["failures"] += fast.rule_failures
                     seen["exhaustive"] += exhaustive
+                    if rule in (StableRule.FIRM_OPTIMAL, StableRule.WORKER_OPTIMAL):
+                        # no DA run on a report raises: its failures are
+                        # decided by the verdict, and some runs are skipped
+                        assert swapped_raised == 0
+                        assert runs <= fast.evaluated
+                        seen["verdict_failures"] += fast.rule_failures
+                        seen["skipped_runs"] += fast.evaluated - runs
+                    else:
+                        assert runs == fast.candidates_total
     assert all(seen.values()), seen
+
+
+def _opposed_substitutable_profile(rng: random.Random) -> Profile:
+    """A 3x3 profile in which firm i ranks worker i alone first and worker j
+    ranks firm j+1 alone first, each followed by a random substitutable
+    relation over its two other partners.  Such a list is substitutable (an
+    offer holding the first partner chooses it alone, and any other offer
+    chooses as the rest of the list does), often fails the law of aggregate
+    demand, and the opposed first choices often leave several stable
+    matchings, which ``random_substitutable_profile`` almost never does."""
+    def relation_with_first(owner: AgentId, first: int) -> PreferenceRelation:
+        others = [k for k in range(3) if k != first]
+        rest = random_substitutable_relation(owner, 2, rng).ranked
+        return PreferenceRelation(owner, (1 << first,) + tuple(
+            sum(1 << others[i] for i in range(2) if entry >> i & 1) for entry in rest))
+
+    return Profile(tuple(relation_with_first(AgentId(F, i), i) for i in range(3)),
+                   tuple(relation_with_first(AgentId(W, j), (j + 1) % 3) for j in range(3)))
+
+
+def test_side_optimum_from_deferred_acceptance_equals_the_enumerated_one():
+    # Roth (1984): on substitutable relations, deferred acceptance proposed
+    # by one side gives that side its optimal stable matching, with or
+    # without the law of aggregate demand
+    from manymatch.manipulation import _side_optimum, _substitutable
+
+    rng = random.Random(16)
+    seen = {"without_lad": 0, "several_stable": 0, "several_stable_without_lad": 0}
+    draws = [random_substitutable_profile(rng) for _ in range(1000)]
+    draws += [_opposed_substitutable_profile(rng) for _ in range(1000)]
+    for p in draws:
+        assert _substitutable(p)
+        ss = enumerate_stable(p)
+        without_lad = not all(check_lad(pref).holds for pref in p.firm_prefs + p.worker_prefs)
+        seen["without_lad"] += without_lad
+        seen["several_stable"] += len(ss) >= 2
+        seen["several_stable_without_lad"] += len(ss) >= 2 and without_lad
+        for side in Side:
+            optimum = side_optimal(ss, p, side)
+            assert optimum is not None
+            assert deferred_acceptance(p, side) == optimum, (p, side)
+            assert _side_optimum(p, side) == optimum
+    assert seen["several_stable_without_lad"] >= 20, seen
 
 
 def _verification_or_refusal(a, rule, p, require_axioms):
