@@ -30,8 +30,9 @@ fact about deferred acceptance on substitutable relations:
   it is counted as evaluated without running the rule.
 - When every relation is substitutable, deferred acceptance proposed by an
   agent's side gives every agent there its best stable assignment (Roth
-  1984), so the side optimum is that DA's output and the stable set is not
-  enumerated.  Off that domain the optimum is read off the enumeration.
+  1984), so the side optimum is that DA rule's truthful output, and DA's own
+  precondition decides the domain.  Off it the optimum is read off the
+  enumeration.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .solver import (
     apply_rule,
     compare_blair,
     compare_common,
-    deferred_acceptance,
     side_optimal,
 )
 from .stability import enumerate_stable, is_stable
@@ -221,25 +221,6 @@ def _kept(p: Profile, key: Hashable, compute: Callable[[], _T]) -> _T:
     return memo[key]
 
 
-def _substitutable(p: Profile) -> bool:
-    """Does every relation of ``p`` satisfy substitutability?  A relation
-    listing more members than the check accepts counts as outside the
-    domain, where nothing needs the check to succeed."""
-    try:
-        return all(check_substitutable(pref).holds for pref in p.firm_prefs + p.worker_prefs)
-    except UnsupportedSizeError:
-        return False
-
-
-def _side_optimum(p: Profile, side: Side) -> Matching | None:
-    """``side_optimal(enumerate_stable(p), p, side)``; when every relation is
-    substitutable, the output of deferred acceptance proposed by ``side``,
-    which is that optimum (Roth 1984)."""
-    if _substitutable(p):
-        return deferred_acceptance(p, side)
-    return side_optimal(enumerate_stable(p), p, side)
-
-
 def _truthful_standing(
     a: AgentId, rule: StableRule, p: Profile
 ) -> tuple[Matching, Matching | None, bool]:
@@ -247,11 +228,16 @@ def _truthful_standing(
     when no member dominates), and whether the construction applies: the
     rule gives ``a`` something other than its side-optimal assignment.
 
-    The output and the optimum depend on the profile alone, so they are kept
-    on ``p`` (by rule and by side) for every later agent of the same profile
-    object; a swapped profile is a new object and starts with none."""
+    The optimum is the output of the DA rule ``a``'s side proposes, or where
+    DA refuses ``p``, read off the enumeration.  Both depend on ``p`` alone,
+    so they are kept on it (by rule, an enumerated optimum by side) for every
+    later agent of the same object; a swapped profile starts with none."""
     baseline = _kept(p, rule, lambda: apply_rule(rule, p))
-    optimum = _kept(p, a.side, lambda: _side_optimum(p, a.side))
+    own = StableRule.FIRM_OPTIMAL if a.side is Side.FIRM else StableRule.WORKER_OPTIMAL
+    try:
+        optimum = _kept(p, own, lambda: apply_rule(own, p))
+    except (PreconditionError, UnsupportedSizeError):
+        optimum = _kept(p, a.side, lambda: side_optimal(enumerate_stable(p), p, a.side))
     applicable = optimum is None or matched_set(baseline, a) != matched_set(optimum, a)
     return baseline, optimum, applicable
 
@@ -416,7 +402,7 @@ def gmt_counterexample_check(
                 continue
         try:
             manipulated = apply_rule(rule, replace_preference(p, a, reported))
-        except (PreconditionError, NoStableMatchingError):
+        except NoStableMatchingError:
             rule_failures += 1
             continue
         if matched_set(manipulated, a) in better:

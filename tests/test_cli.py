@@ -223,6 +223,25 @@ class TestValidate:
         assert code == 0
         assert "lad" not in out
 
+    def test_substitutability_witness_text(self, capsys, tmp_path):
+        # f2 ranks the pair {w1 w2} above w3 alone: from {w1 w2 w3} it picks
+        # w1 with w2, but once w2 is gone it picks w3 and drops w1
+        path = tmp_path / "pair_first.market"
+        path.write_text("firms: f1 f2\nworkers: w1 w2 w3\npref f1: w1\n"
+                        "pref f2: w1 w2 | w3\npref w1: f2 | f1\npref w2: f2\n"
+                        "pref w3: f2\n", encoding="utf-8")
+        code, out, _ = run(capsys, "validate", str(path), "--axiom", "substitutable",
+                           "--strict")
+        assert code == 1
+        assert out == (
+            "f1 substitutability: holds\n"
+            "f2 substitutability: VIOLATED  S'={w1 w2 w3} w=w1 w'=w2: "
+            "w1 is chosen from S' but not from {w1 w3}\n"
+            "w1 substitutability: holds\n"
+            "w2 substitutability: holds\n"
+            "w3 substitutability: holds\n"
+            "violations found\n")
+
     def test_json_reports_match_text(self, capsys, firms_immune_file):
         _, out, _ = run(capsys, "validate", firms_immune_file, "--format", "json")
         doc = json.loads(out)
@@ -391,6 +410,32 @@ class TestPaperExamples:
     def test_json_checks_are_the_bundled_rows_as_they_are(self, capsys):
         _, out, _ = run(capsys, "paper-examples", "--format", "json")
         assert json.loads(out)["results"]["checks"] == run_bundled_checks()
+
+    def test_a_failing_row_prints_what_was_expected_and_found(self, capsys, monkeypatch):
+        import manymatch.cli as cli
+
+        def one_failing_row():
+            rows = run_bundled_checks()
+            rows[1] = {**rows[1], "passed": False, "actual": "f1=w1"}
+            return rows
+
+        monkeypatch.setattr(cli, "run_bundled_checks", one_failing_row)
+        code, out, _ = run(capsys, "paper-examples")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1:4] == [
+            "[FAIL] manipulation-demo: worker-optimal matching",
+            "       expected: f1=w1 w3, f2=w2, f3=w4",
+            "       actual:   f1=w1",
+        ]
+        assert lines[-1] == "25/26 checks passed"
+
+
+def test_json_writer_refuses_a_value_outside_the_payload_types():
+    from manymatch.cli import _json_text
+
+    with pytest.raises(TypeError, match="^float is not a payload type$"):
+        _json_text({"checks": [1, 0.5]})
 
 
 def test_the_shared_parser_carries_no_state_from_one_call_to_the_next(capsys, demo_file):

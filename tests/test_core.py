@@ -17,6 +17,7 @@ from manymatch.core import (
     MarketInstance,
     MatchingError,
     PreferenceRelation,
+    UnsupportedSizeError,
     bits,
     choice_mask,
     matched_set,
@@ -49,6 +50,11 @@ class TestChoice:
     def test_nothing_acceptable_gives_empty(self):
         pref = relation(AgentId(F, 0), (0, 1))
         assert choice_mask(pset(2), pref) == 0
+
+
+def test_negative_agent_index_rejected():
+    with pytest.raises(ValueError, match="^agent index must be non-negative, got -1$"):
+        AgentId(F, -1)
 
 
 class TestPreferenceRelation:
@@ -98,6 +104,13 @@ class TestProfile:
         with pytest.raises(ValueError) as exc_info:
             Profile((relation(owner, (0,)),), (relation(AgentId(W, 0), (0,)),))
         assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_more_than_max_side_agents_on_a_side_rejected(self, side):
+        many = tuple(relation(AgentId(side, i)) for i in range(MAX_SIDE + 1))
+        one = (relation(AgentId(side.opposite, 0)),)
+        with pytest.raises(UnsupportedSizeError, match="^at most 32 agents per side$"):
+            Profile(*((many, one) if side is F else (one, many)))
 
     def test_out_of_range_member_rejected(self):
         with pytest.raises(ValueError):
@@ -269,15 +282,21 @@ class TestMarketInstance:
         with pytest.raises(MatchingError, match="^unknown agent name 'nobody'$"):
             demo_market.agent_id("nobody")
 
-    def test_duplicate_names_rejected(self):
-        p = two_by_two_profile()
-        with pytest.raises(ValueError):
-            MarketInstance(("a", "a"), ("x", "y"), p)
+    @pytest.mark.parametrize("firms, workers, message", [
+        (("a", "a"), ("x", "y"), "duplicate firm names"),
+        (("a", "b"), ("x", "x"), "duplicate worker names"),
+    ], ids=["firm", "worker"])
+    def test_duplicate_names_rejected(self, firms, workers, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MarketInstance(firms, workers, two_by_two_profile())
 
-    def test_dimension_mismatch_rejected(self):
-        p = two_by_two_profile()
-        with pytest.raises(ValueError):
-            MarketInstance(("a",), ("x", "y"), p)
+    @pytest.mark.parametrize("firms, workers, message", [
+        (("a",), ("x", "y"), "firm name count does not match profile"),
+        (("a", "b"), ("x", "y", "z"), "worker name count does not match profile"),
+    ], ids=["firm", "worker"])
+    def test_dimension_mismatch_rejected(self, firms, workers, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MarketInstance(firms, workers, two_by_two_profile())
 
 
 # bundled market spot checks against the recorded tables

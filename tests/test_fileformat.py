@@ -126,6 +126,19 @@ class TestParse:
         with pytest.raises(ParseError, match="unrecognized line"):
             parse_market("hello\n" + GOOD_DOC)
 
+    @pytest.mark.parametrize("doc, message", [
+        ("firms: f1\nfirms: f2\nworkers: w1\n", "line 2: duplicate 'firms:' line"),
+        ("firms: f1\nworkers: w1\npref f1 w1\n",
+         "line 3: expected ':' after the agent name in a pref line"),
+        ("firms: f1\nworkers: w1\npref f1 w1: w1\n",
+         "line 3: expected exactly one agent name in a pref line"),
+        ("firms:\nworkers: w1\npref w1:\n", "each side needs at least one agent"),
+    ], ids=["duplicate-header", "pref-without-colon", "pref-with-two-names", "empty-side"])
+    def test_malformed_line_messages(self, doc, message):
+        with pytest.raises(ParseError) as exc_info:
+            parse_market(doc)
+        assert str(exc_info.value) == message
+
     def test_side_size_cap(self):
         names = " ".join(f"w{j}" for j in range(33))
         doc = f"firms: f1\nworkers: {names}\n"

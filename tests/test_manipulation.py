@@ -142,6 +142,10 @@ class TestCandidateSet:
         mu_w = Matching.from_pairs([(0, 2), (0, 3), (1, 0), (1, 1)])
         assert mu_w in H
 
+    def test_empty_stable_set_refused(self, empty_stable_set_profile):
+        with pytest.raises(ValueError, match="^stable set is empty$"):
+            candidate_set_H(AgentId(W, 0), Matching.empty(), empty_stable_set_profile)
+
 
 class TestTruncationStrategy:
     def test_worker_keeps_its_target_assignment(self, demo_market):
@@ -183,6 +187,11 @@ class TestEvaluateMisreport:
         # the stored verdicts are recomputable from the manipulated matching
         assert compare_common(outcome.manipulated, DEMO_MU_F, w1, p) is outcome.verdict_common
         assert compare_blair(outcome.manipulated, DEMO_MU_F, w1, p) is outcome.verdict_blair
+
+    def test_foreign_owner_refused(self, demo_market):
+        w1, w2 = AgentId(W, 0), AgentId(W, 1)
+        with pytest.raises(ValueError, match="^reported relation owned by worker 1, not worker 0$"):
+            make_misreport(w1, demo_market.profile[w2])
 
     def test_truthful_report_changes_nothing(self, demo_market):
         p = demo_market.profile
@@ -262,20 +271,28 @@ class TestVerifyGmt:
         wk5 = AgentId(W, 4)
         rule = StableRule.SELECT_FIRST
         baseline = apply_rule(rule, p)
-        profiles = []
+        runs = []
 
         def counting_apply_rule(r, q):
-            profiles.append(q)
-            return apply_rule(r, q)
+            try:
+                matching = apply_rule(r, q)
+            except PreconditionError:
+                runs.append((r, q, "refused"))
+                raise
+            runs.append((r, q, "ran"))
+            return matching
 
         monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
         v = verify_gmt(wk5, rule, p, require_axioms=False)
         assert v.applicable and v.side_optimum is None
         assert len(v.checks) == 2
         assert tuple(c.target for c in v.checks) == candidate_set_H(wk5, baseline, p)
-        # the truthful rule runs once, then once per check on its report
-        assert sum(q is p for q in profiles) == 1
-        assert len(profiles) == 1 + len(v.checks)
+        # the truthful rule runs once and worker-proposing DA refuses the
+        # profile once (so the optimum is enumerated), then the rule runs
+        # once per check on its report
+        assert [(r, verdict) for r, q, verdict in runs if q is p] == [
+            (rule, "ran"), (StableRule.WORKER_OPTIMAL, "refused")]
+        assert [verdict for r, q, verdict in runs if q is not p] == ["ran"] * len(v.checks)
 
     def test_no_side_optimum_and_no_target_does_not_hold(self):
         # select-first gives wk2 its best stable assignment, yet no stable
@@ -316,6 +333,7 @@ class TestVerifyGmt:
 
     def test_truthful_results_computed_once_per_profile(self, monkeypatch, demo_market):
         import manymatch.manipulation as manipulation
+        import manymatch.solver as solver
 
         p = demo_market.profile
         rules, sides, optima, relations = [], [], [], []
@@ -341,13 +359,16 @@ class TestVerifyGmt:
 
         monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
         monkeypatch.setattr(manipulation, "side_optimal", counting_side_optimal)
-        monkeypatch.setattr(manipulation, "deferred_acceptance", counting_deferred_acceptance)
+        monkeypatch.setattr(solver, "deferred_acceptance", counting_deferred_acceptance)
         monkeypatch.setattr(manipulation, "check_lad", counting_check_lad)
         verifications = [verify_gmt(a, rule, p) for rule in StableRule for a in p.agents()]
+        assert len(verifications) == 28
         assert sum(v.applicable for v in verifications) == 8
+        # every relation is substitutable, so each side's optimum is the
+        # output of its DA rule: each rule runs once on p for all 28 calls,
+        # each side's DA once, and the stable set is never searched for an
+        # optimum
         assert rules == list(StableRule)
-        # every relation is substitutable, so each side's optimum is its DA
-        # output, computed once, and the stable set is never searched for it
         assert optima == [F, W]
         assert sides == []
         # the axiom gate checked each relation once for all 28 calls
@@ -358,17 +379,23 @@ class TestVerifyGmt:
 
         first, second = bundled("manipulation-demo").profile, bundled("manipulation-demo").profile
         assert first == second and first is not second
-        profiles = []
+        runs = []
 
         def counting_apply_rule(r, q):
-            profiles.append(q)
+            runs.append((r, q))
             return apply_rule(r, q)
 
         monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
         for p in (first, second, first, second):
             verify_gmt(AgentId(W, 0), StableRule.FIRM_OPTIMAL, p)
-        assert sum(q is first for q in profiles) == 1
-        assert sum(q is second for q in profiles) == 1
+        # each object runs the rule and, for the worker's side optimum,
+        # worker-proposing DA, once each; each call runs the rule once more
+        # on its check's report
+        for p in (first, second):
+            assert [r for r, q in runs if q is p] == [StableRule.FIRM_OPTIMAL,
+                                                      StableRule.WORKER_OPTIMAL]
+        reports = [r for r, q in runs if q is not first and q is not second]
+        assert reports == [StableRule.FIRM_OPTIMAL] * 4
 
     def test_a_failed_truthful_run_is_not_kept(self, monkeypatch, empty_stable_set_profile):
         import manymatch.manipulation as manipulation
@@ -474,11 +501,11 @@ class TestCounterexampleSearch:
         import manymatch.manipulation as manipulation
 
         p = demo_market.profile
-        profiles = []
+        runs = []
 
-        def counting_apply_rule(r, q, *args):
-            profiles.append(q)
-            return apply_rule(r, q, *args)
+        def counting_apply_rule(r, q):
+            runs.append((r, q))
+            return apply_rule(r, q)
 
         monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
 
@@ -489,22 +516,25 @@ class TestCounterexampleSearch:
                 return report.candidates_total
             return _da_sublist_counts(p, a, report.baseline)[1]
 
+        # the truthful sublist is a candidate too, so count by identity: the
+        # rule runs once on p, and so does worker-proposing DA (w1's side
+        # optimum), once in all when that is the rule itself
         report = gmt_counterexample_check(p, rule, AgentId(W, 0))
-        # the truthful sublist is a candidate too, so count by identity
-        assert sum(q is p for q in profiles) == 1
+        truthful = list(dict.fromkeys([rule, StableRule.WORKER_OPTIMAL]))
+        assert [r for r, q in runs if q is p] == truthful
         # every other call is one candidate's report
-        assert len(profiles) == 1 + rule_runs(AgentId(W, 0), report)
+        assert [r for r, q in runs if q is not p] == [rule] * rule_runs(AgentId(W, 0), report)
 
         # a second search on the same object, for another agent that gains
         # (w2 against the firm-side rules, f2 against the worker-side ones),
-        # runs only its candidates
+        # runs only its candidates and, for a firm, firm-proposing DA once
         firm_side = rule in (StableRule.FIRM_OPTIMAL, StableRule.SELECT_FIRST)
         second = AgentId(W if firm_side else F, 1)
-        profiles.clear()
+        runs.clear()
         report = gmt_counterexample_check(p, rule, second)
         assert not report.not_applicable
-        assert sum(q is p for q in profiles) == 0
-        assert len(profiles) == rule_runs(second, report)
+        assert [r for r, q in runs if q is p] == ([] if firm_side else [StableRule.FIRM_OPTIMAL])
+        assert [r for r, q in runs if q is not p] == [rule] * rule_runs(second, report)
 
     def test_only_profitable_reports_are_judged_in_full(self, monkeypatch, demo_market):
         # under a DA rule, the rule runs only for substitutable reports that
@@ -521,12 +551,14 @@ class TestCounterexampleSearch:
             monkeypatch.setattr(manipulation, name, counted)
         p, a = demo_market.profile, AgentId(W, 0)
         report = gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, a)
-        failures, runs = _da_sublist_counts(p, a, report.baseline)
-        found = len(report.profitable)
-        assert 2 <= found < runs < report.evaluated
-        assert report.rule_failures == failures
-        assert calls["compare_blair"] == calls["is_stable"] == found
-        assert calls["apply_rule"] == runs + 1  # the truthful run too
+        # w1's 8 sublists are all substitutable; 6 list a set above the
+        # baseline, and 3 of those are profitable
+        assert _da_sublist_counts(p, a, report.baseline) == (0, 6)
+        assert (report.evaluated, report.rule_failures, len(report.profitable)) == (8, 0, 3)
+        assert calls["compare_blair"] == calls["is_stable"] == 3
+        # the 6 runs, the truthful run, and worker-proposing DA for w1's side
+        # optimum
+        assert calls["apply_rule"] == 6 + 2
         assert "compare_common" not in calls
 
     def test_exhaustive_cap(self, firms_immune_market):
@@ -742,15 +774,24 @@ def _opposed_substitutable_profile(rng: random.Random) -> Profile:
 def test_side_optimum_from_deferred_acceptance_equals_the_enumerated_one():
     # Roth (1984): on substitutable relations, deferred acceptance proposed
     # by one side gives that side its optimal stable matching, with or
-    # without the law of aggregate demand
-    from manymatch.manipulation import _side_optimum, _substitutable
-
+    # without the law of aggregate demand; the verifier takes it from the
+    # side's DA rule there, and reads it off the enumeration where DA
+    # refuses the profile
     rng = random.Random(16)
-    seen = {"without_lad": 0, "several_stable": 0, "several_stable_without_lad": 0}
+    seen = {"without_lad": 0, "several_stable": 0, "several_stable_without_lad": 0,
+            "off_domain": 0, "off_domain_no_optimum": 0}
+
+    def substitutable(p):
+        return all(check_substitutable(pref).holds for pref in p.firm_prefs + p.worker_prefs)
+
+    def verified_optimum(p, side):
+        return verify_gmt(AgentId(side, 0), StableRule.SELECT_FIRST, p,
+                          require_axioms=False).side_optimum
+
     draws = [random_substitutable_profile(rng) for _ in range(1000)]
     draws += [_opposed_substitutable_profile(rng) for _ in range(1000)]
     for p in draws:
-        assert _substitutable(p)
+        assert substitutable(p)
         ss = enumerate_stable(p)
         without_lad = not all(check_lad(pref).holds for pref in p.firm_prefs + p.worker_prefs)
         seen["without_lad"] += without_lad
@@ -760,8 +801,20 @@ def test_side_optimum_from_deferred_acceptance_equals_the_enumerated_one():
             optimum = side_optimal(ss, p, side)
             assert optimum is not None
             assert deferred_acceptance(p, side) == optimum, (p, side)
-            assert _side_optimum(p, side) == optimum
+            assert verified_optimum(p, side) == optimum
+
+    while seen["off_domain"] < 1000:
+        p = random_profile(rng)
+        ss = enumerate_stable(p)
+        if not ss or substitutable(p):
+            continue
+        seen["off_domain"] += 1
+        for side in Side:
+            optimum = side_optimal(ss, p, side)
+            seen["off_domain_no_optimum"] += optimum is None
+            assert verified_optimum(p, side) == optimum, (p, side)
     assert seen["several_stable_without_lad"] >= 20, seen
+    assert seen["off_domain_no_optimum"] >= 1, seen
 
 
 def _verification_or_refusal(a, rule, p, require_axioms):
