@@ -14,13 +14,12 @@ keeps its hash, computed on first use, in a private non-field attribute.  A
 ``Profile`` also carries, in a second such attribute, the memo the
 manipulation module fills with results that depend on the profile alone (the
 truthful rule outputs, which hold each side's optimum when every relation is
-substitutable; the enumerated side optima elsewhere; the axiom verdict); it
-is created on first use and lives as long as the object, so a newly built
-profile starts with none.  Equality and ``repr`` stay the generated ones,
-and neither they nor the hash read either attribute.  No hash in this module
-covers a string or enum hash (those vary with ``PYTHONHASHSEED``), so a kept
-hash that ``pickle`` carries to another process of the same interpreter
-build stays valid.
+substitutable, and the axiom verdict); it is created on first use and lives
+as long as the object, so a newly built profile starts with none.  Equality
+and ``repr`` stay the generated ones, and neither they nor the hash read
+either attribute.  No hash in this module covers a string or enum hash (those
+vary with ``PYTHONHASHSEED``), so a kept hash that ``pickle`` carries to
+another process of the same interpreter build stays valid.
 """
 
 from __future__ import annotations

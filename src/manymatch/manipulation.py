@@ -4,8 +4,9 @@ an exhaustive counterexample search for markets where the construction fails.
 
 Every profitable report and every ``verify_gmt`` check is one
 ``ManipulationOutcome``: the misreport, the rule's output under it, and that
-output judged under the agent's true relation.  The verifier's four
-assertions and the search's profitable findings are read off these records.
+output judged under the agent's true relation.  Each check's record comes
+from ``evaluate_misreport``, which records a rule failure instead of raising
+it; the verifier's four assertions are read off these records.
 
 The central construction: when a rule assigns an agent less than its
 side-optimal stable assignment, the agent reports its true relation
@@ -40,6 +41,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import perm
 from typing import TypeVar
 
 from .axioms import check_lad, check_substitutable
@@ -142,14 +144,8 @@ def evaluate_misreport(
     under the true relation against ``baseline``, the rule's output on
     ``p_true``; flag whether the manipulated matching is even stable under
     the truth (it need not be)."""
-    return _evaluated(m, rule, p_true, replace_preference(p_true, a, m.reported), baseline)
-
-
-def _evaluated(m: Misreport, rule: StableRule, p_true: Profile, swapped: Profile,
-               baseline: Matching) -> ManipulationOutcome:
-    """``evaluate_misreport`` on an already swapped profile."""
     try:
-        manipulated = apply_rule(rule, swapped)
+        manipulated = apply_rule(rule, replace_preference(p_true, a, m.reported))
     except (PreconditionError, NoStableMatchingError) as exc:
         return ManipulationOutcome(misreport=m, failure=str(exc))
     return _outcome(m, p_true, manipulated, baseline,
@@ -229,15 +225,15 @@ def _truthful_standing(
     rule gives ``a`` something other than its side-optimal assignment.
 
     The optimum is the output of the DA rule ``a``'s side proposes, or where
-    DA refuses ``p``, read off the enumeration.  Both depend on ``p`` alone,
-    so they are kept on it (by rule, an enumerated optimum by side) for every
-    later agent of the same object; a swapped profile starts with none."""
+    DA refuses ``p``, read off the (cached) enumeration.  Rule outputs depend
+    on ``p`` alone, so they are kept on it, by rule, for every later agent of
+    the same object; a swapped profile starts with none."""
     baseline = _kept(p, rule, lambda: apply_rule(rule, p))
     own = StableRule.FIRM_OPTIMAL if a.side is Side.FIRM else StableRule.WORKER_OPTIMAL
     try:
         optimum = _kept(p, own, lambda: apply_rule(own, p))
     except (PreconditionError, UnsupportedSizeError):
-        optimum = _kept(p, a.side, lambda: side_optimal(enumerate_stable(p), p, a.side))
+        optimum = side_optimal(enumerate_stable(p), p, a.side)
     applicable = optimum is None or matched_set(baseline, a) != matched_set(optimum, a)
     return baseline, optimum, applicable
 
@@ -283,9 +279,9 @@ def verify_gmt(
     checks = []
     for target in targets:
         misreport = truncation_strategy(a, target, p)
-        swapped = replace_preference(p, a, misreport.reported)
-        outcome = _evaluated(misreport, rule, p, swapped, baseline)
-        checks.append(GmtCheck(target, outcome, is_stable(target, swapped)))
+        outcome = evaluate_misreport(a, misreport, rule, p, baseline)
+        stays = is_stable(target, replace_preference(p, a, misreport.reported))
+        checks.append(GmtCheck(target, outcome, stays))
     return GmtVerification(
         agent=a, rule=rule, applicable=applicable, baseline=baseline,
         side_optimum=optimum, checks=tuple(checks),
@@ -320,14 +316,10 @@ def _valid_relation(owner: AgentId, ranked: tuple[int, ...]) -> PreferenceRelati
 def _all_relations(owner: AgentId, opposite_count: int) -> tuple[int, Iterator[PreferenceRelation]]:
     """Every strict list of distinct nonempty subsets of the opposite side,
     shortest first, and their number: the sum over l of P!/(P-l)! for P
-    subsets, counted only until it passes ``CANDIDATE_CAP``."""
+    subsets.  The sum stops at l = 15, so it is exact up to ``CANDIDATE_CAP``
+    and otherwise already above it (15! > 2^14)."""
     sets = (1 << opposite_count) - 1
-    count = term = 1
-    for taken in range(sets):
-        if count > CANDIDATE_CAP:
-            break
-        term *= sets - taken
-        count += term
+    count = sum(perm(sets, n) for n in range(min(sets, CANDIDATE_CAP.bit_length()) + 1))
 
     def relations() -> Iterator[PreferenceRelation]:
         pool = [sum(1 << i for i in members) for size in range(1, opposite_count + 1)

@@ -129,16 +129,13 @@ def side_optimal(ss: tuple[Matching, ...], p: Profile, side: Side) -> Matching |
     None when no member dominates (possible off the substitutable domain).
     As ``compare_common`` decides it, an agent given two or more distinct
     sets needs the one it ranks best, and that one must be listed or empty."""
-    disputed = 0  # the agents on ``side`` whom the members give two or more distinct sets
-    for mu in ss[1:]:
-        for f in range(max(len(mu.rows), len(ss[0].rows))):
-            diff = mu.row(f) ^ ss[0].row(f)
-            if diff:
-                disputed |= 1 << f if side is Side.FIRM else diff
     targets = []
-    for i in bits(disputed & ((1 << p.side_count(side)) - 1)):
+    for i in range(p.side_count(side)):
         a = AgentId(side, i)
-        listed = {p[a].rank_of(s): s for s in {matched_set(mu, a) for mu in ss}}
+        given = {matched_set(mu, a) for mu in ss}
+        if len(given) < 2:
+            continue
+        listed = {p[a].rank_of(s): s for s in given}
         listed.pop(None, None)
         if not listed:
             return None

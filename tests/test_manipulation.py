@@ -624,7 +624,7 @@ class TestCounterexampleSearch:
         with pytest.raises(expected):
             gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, agent, exhaustive=exhaustive)
 
-    @pytest.mark.parametrize("opposite_count, total", [(1, 2), (2, 16), (3, 13_700)])
+    @pytest.mark.parametrize("opposite_count, total", [(0, 1), (1, 2), (2, 16), (3, 13_700)])
     def test_exhaustive_count_is_the_number_of_candidates(self, opposite_count, total):
         from manymatch.manipulation import _all_relations
 
@@ -656,8 +656,12 @@ class TestCounterexampleSearch:
 
 def test_stability_survives_truncation_to_own_assignment(responsive_corpus):
     # every stable matching stays stable when any one agent restricts its
-    # relation to its own assignment under that matching
-    for p, _, _ in responsive_corpus[:50]:
+    # relation to its own assignment under that matching, with or without
+    # any axiom
+    rng = random.Random(18)
+    markets = [p for p, _, _ in responsive_corpus[:50]]
+    markets += [random_profile(rng) for _ in range(500)]
+    for p in markets:
         for mu in enumerate_stable(p):
             for a in p.agents():
                 reported = restrict_preference(p[a], matched_set(mu, a))
@@ -776,17 +780,28 @@ def test_side_optimum_from_deferred_acceptance_equals_the_enumerated_one():
     # by one side gives that side its optimal stable matching, with or
     # without the law of aggregate demand; the verifier takes it from the
     # side's DA rule there, and reads it off the enumeration where DA
-    # refuses the profile
+    # refuses the profile.  Every check the verifier makes on these draws
+    # gets a matching from the rule and keeps its target stable under the
+    # report, the gate off and under every rule that accepts the profile
     rng = random.Random(16)
     seen = {"without_lad": 0, "several_stable": 0, "several_stable_without_lad": 0,
-            "off_domain": 0, "off_domain_no_optimum": 0}
+            "off_domain": 0, "off_domain_no_optimum": 0, "checks": 0}
 
     def substitutable(p):
         return all(check_substitutable(pref).holds for pref in p.firm_prefs + p.worker_prefs)
 
     def verified_optimum(p, side):
-        return verify_gmt(AgentId(side, 0), StableRule.SELECT_FIRST, p,
-                          require_axioms=False).side_optimum
+        rules = StableRule if substitutable(p) else (StableRule.SELECT_FIRST,
+                                                     StableRule.SELECT_LAST)
+        optima = set()
+        for rule in rules:
+            v = verify_gmt(AgentId(side, 0), rule, p, require_axioms=False)
+            for check in v.checks:
+                assert check.outcome.failure is None and check.assertions[0], (p, side, rule)
+            seen["checks"] += len(v.checks)
+            optima.add(v.side_optimum)
+        assert len(optima) == 1, (p, side)
+        return optima.pop()
 
     draws = [random_substitutable_profile(rng) for _ in range(1000)]
     draws += [_opposed_substitutable_profile(rng) for _ in range(1000)]
@@ -815,6 +830,7 @@ def test_side_optimum_from_deferred_acceptance_equals_the_enumerated_one():
             assert verified_optimum(p, side) == optimum, (p, side)
     assert seen["several_stable_without_lad"] >= 20, seen
     assert seen["off_domain_no_optimum"] >= 1, seen
+    assert seen["checks"] >= 500, seen
 
 
 def _verification_or_refusal(a, rule, p, require_axioms):

@@ -333,3 +333,17 @@ def test_side_optimal_equals_pairwise_on_hand_built_tuples():
         results += _assert_side_optimal_is_pairwise(ss, p)
     assert None in results
     assert any(r is not None for r in results)
+
+
+def test_side_optimal_on_a_thousand_member_stable_set():
+    # ten disjoint cyclic 2x2 blocks: in each, the firms get their first
+    # choices or the workers get theirs, independently of the other blocks
+    blocks = 10
+    p = Profile(
+        tuple(relation(AgentId(F, i), [i], [i ^ 1]) for i in range(2 * blocks)),
+        tuple(relation(AgentId(W, j), [j ^ 1], [j]) for j in range(2 * blocks)),
+    )
+    ss = enumerate_stable(p)
+    assert len(ss) == 2 ** blocks
+    for side in (F, W):
+        assert side_optimal(ss, p, side) == deferred_acceptance(p, side)
