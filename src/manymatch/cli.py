@@ -171,9 +171,9 @@ def _cmd_manipulate(args, instance: MarketInstance) -> tuple[int, dict]:
         "rule_failures": report.rule_failures,
         "profitable": [
             {
-                "reported": relation_names(outcome.misreport.reported, instance),
-                "substitutable": check_substitutable(outcome.misreport.reported).holds,
-                "lad": check_lad(outcome.misreport.reported).holds,
+                "reported": relation_names(outcome.reported, instance),
+                "substitutable": check_substitutable(outcome.reported).holds,
+                "lad": check_lad(outcome.reported).holds,
                 "matching": matching_to_dict(outcome.manipulated, instance),
                 "verdict_common": outcome.verdict_common.value,
                 "verdict_blair": outcome.verdict_blair.value,
@@ -226,9 +226,9 @@ def _cmd_verify_gmt(args, instance: MarketInstance) -> tuple[int, dict]:
             "targets": [
                 {
                     "target": matching_to_dict(check.target, instance),
-                    "reported": relation_names(check.outcome.misreport.reported, instance),
-                    "substitutable": check_substitutable(check.outcome.misreport.reported).holds,
-                    "lad": check_lad(check.outcome.misreport.reported).holds,
+                    "reported": relation_names(check.outcome.reported, instance),
+                    "substitutable": check_substitutable(check.outcome.reported).holds,
+                    "lad": check_lad(check.outcome.reported).holds,
                     "gmt_assertions": list(check.assertions),
                 }
                 for check in v.checks

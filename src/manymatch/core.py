@@ -129,6 +129,7 @@ class PreferenceRelation:
     ranked: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ranked", tuple(self.ranked))
         for entry in self.ranked:
             if not 0 < entry < 1 << MAX_SIDE:
                 raise ValueError(f"partner mask {entry} out of range in preference of "
@@ -163,6 +164,8 @@ class Profile:
     worker_prefs: tuple[PreferenceRelation, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "firm_prefs", tuple(self.firm_prefs))
+        object.__setattr__(self, "worker_prefs", tuple(self.worker_prefs))
         if len(self.firm_prefs) > MAX_SIDE or len(self.worker_prefs) > MAX_SIDE:
             raise UnsupportedSizeError(f"at most {MAX_SIDE} agents per side")
         for side, prefs, opp_count in (

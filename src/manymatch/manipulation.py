@@ -3,10 +3,10 @@ targets, misreport evaluation, the manipulability-construction verifier, and
 an exhaustive counterexample search for markets where the construction fails.
 
 Every profitable report and every ``verify_gmt`` check is one
-``ManipulationOutcome``: the misreport, the rule's output under it, and that
-output judged under the agent's true relation.  Each check's record comes
-from ``evaluate_misreport``, which records a rule failure instead of raising
-it; the verifier's four assertions are read off these records.
+``ManipulationOutcome``: the reported relation, the rule's output under it,
+and that output judged under its owner's true relation.  Each check's record
+comes from ``evaluate_misreport``, which records a rule failure instead of
+raising it; the verifier's four assertions are read off these records.
 
 The central construction: when a rule assigns an agent less than its
 side-optimal stable assignment, the agent reports its true relation
@@ -76,28 +76,21 @@ CANDIDATE_CAP = 1 << 14
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class Misreport:
-    """A reported relation for one agent."""
-
-    agent: AgentId
-    reported: PreferenceRelation
-
-
-def make_misreport(agent: AgentId, reported: PreferenceRelation) -> Misreport:
+# Kept only because perfbench/tracer.py wraps this name; nothing in the package calls it.
+def make_misreport(agent: AgentId, reported: PreferenceRelation) -> PreferenceRelation:
     if reported.owner != agent:
         raise ValueError(f"reported relation owned by {reported.owner}, not {agent}")
-    return Misreport(agent=agent, reported=reported)
+    return reported
 
 
 @dataclass(frozen=True)
 class ManipulationOutcome:
-    """The rule's output under one misreport, judged at the agent under its
-    TRUE relation against the rule's truthful output.  ``failure`` is set
-    when the rule could not produce a matching from the reported profile; the
-    other result fields are then None."""
+    """The rule's output under one reported relation, judged at its owner
+    under the owner's TRUE relation against the rule's truthful output.
+    ``failure`` is set when the rule could not produce a matching from the
+    reported profile; the other result fields are then None."""
 
-    misreport: Misreport
+    reported: PreferenceRelation
     manipulated: Matching | None = None
     verdict_common: OrderVerdict | None = None
     verdict_blair: OrderVerdict | None = None
@@ -129,35 +122,35 @@ def candidate_set_H(a: AgentId, baseline: Matching, p: Profile) -> tuple[Matchin
     )
 
 
-def truncation_strategy(a: AgentId, mu: Matching, p: Profile) -> Misreport:
-    """The misreport that keeps only sets inside the agent's assignment under
+def truncation_strategy(a: AgentId, mu: Matching, p: Profile) -> PreferenceRelation:
+    """The agent's relation keeping only sets inside its assignment under
     the (stable) target matching ``mu``."""
     if not is_stable(mu, p):
         raise PreconditionError("truncation target is not stable for {agent}", a)
-    return make_misreport(a, restrict_preference(p[a], matched_set(mu, a)))
+    return restrict_preference(p[a], matched_set(mu, a))
 
 
 def evaluate_misreport(
-    a: AgentId, m: Misreport, rule: StableRule, p_true: Profile, baseline: Matching
+    reported: PreferenceRelation, rule: StableRule, p_true: Profile, baseline: Matching
 ) -> ManipulationOutcome:
-    """Apply the rule to the swapped profile and judge the result at ``a``
-    under the true relation against ``baseline``, the rule's output on
-    ``p_true``; flag whether the manipulated matching is even stable under
-    the truth (it need not be)."""
+    """Apply the rule to ``p_true`` with ``reported`` swapped in at its owner
+    and judge the result there under the true relation against ``baseline``,
+    the rule's output on ``p_true``; flag whether the manipulated matching is
+    even stable under the truth (it need not be)."""
     try:
-        manipulated = apply_rule(rule, replace_preference(p_true, a, m.reported))
+        manipulated = apply_rule(rule, replace_preference(p_true, reported.owner, reported))
     except (PreconditionError, NoStableMatchingError) as exc:
-        return ManipulationOutcome(misreport=m, failure=str(exc))
-    return _outcome(m, p_true, manipulated, baseline,
-                    compare_common(manipulated, baseline, m.agent, p_true))
+        return ManipulationOutcome(reported=reported, failure=str(exc))
+    return _outcome(reported, p_true, manipulated, baseline,
+                    compare_common(manipulated, baseline, reported.owner, p_true))
 
 
-def _outcome(m: Misreport, p_true: Profile, manipulated: Matching, baseline: Matching,
-             verdict_common: OrderVerdict) -> ManipulationOutcome:
+def _outcome(reported: PreferenceRelation, p_true: Profile, manipulated: Matching,
+             baseline: Matching, verdict_common: OrderVerdict) -> ManipulationOutcome:
     """The record of a report the rule processed, given its list-order verdict."""
     return ManipulationOutcome(
-        misreport=m, manipulated=manipulated, verdict_common=verdict_common,
-        verdict_blair=compare_blair(manipulated, baseline, m.agent, p_true),
+        reported=reported, manipulated=manipulated, verdict_common=verdict_common,
+        verdict_blair=compare_blair(manipulated, baseline, reported.owner, p_true),
         manipulated_stable_under_truth=is_stable(manipulated, p_true),
     )
 
@@ -175,7 +168,7 @@ class GmtCheck:
     def assertions(self) -> tuple[bool, bool, bool, bool]:
         """Target stable under the report; the rule hands the agent exactly
         the target assignment; strict gains in the Blair and list orders."""
-        a, manipulated = self.outcome.misreport.agent, self.outcome.manipulated
+        a, manipulated = self.outcome.reported.owner, self.outcome.manipulated
         return (
             self.target_stable_under_report,
             manipulated is not None and matched_set(manipulated, a) == matched_set(self.target, a),
@@ -263,6 +256,8 @@ def verify_gmt(
     disabled to watch the construction fail on profiles outside its domain;
     when enabled, its verdict is kept on ``p`` like the truthful standing.
     """
+    if a.index >= p.side_count(a.side):
+        raise ValueError(f"no {a} in the profile")
     if require_axioms:
         failure = _kept(p, "axioms", lambda: _axiom_failure(p))
         if failure is not None:
@@ -278,9 +273,9 @@ def verify_gmt(
 
     checks = []
     for target in targets:
-        misreport = truncation_strategy(a, target, p)
-        outcome = evaluate_misreport(a, misreport, rule, p, baseline)
-        stays = is_stable(target, replace_preference(p, a, misreport.reported))
+        reported = truncation_strategy(a, target, p)
+        outcome = evaluate_misreport(reported, rule, p, baseline)
+        stays = is_stable(target, replace_preference(p, a, reported))
         checks.append(GmtCheck(target, outcome, stays))
     return GmtVerification(
         agent=a, rule=rule, applicable=applicable, baseline=baseline,
@@ -362,13 +357,16 @@ def gmt_counterexample_check(
     selector rules run once per report: only the enumeration tells whether a
     report leaves a stable matching.
     """
+    if a.index >= p.side_count(a.side):
+        raise ValueError(f"no {a} in the profile")
+    true = p[a]
     if exhaustive:
         mode, scope = "exhaustive", "all strict preference lists over the opposite side"
         total, candidates = _all_relations(a, p.side_count(a.side.opposite))
     else:
         mode, scope = "sublists", ("order-preserving sublists of the true list only; "
                                    "relations outside the true list were not searched")
-        total, candidates = _sublist_relations(p[a])
+        total, candidates = _sublist_relations(true)
     if total > CANDIDATE_CAP:
         raise UnsupportedSizeError(f"{mode} misreport search for {{agent}} would try more "
                                    f"than {CANDIDATE_CAP} candidates", a)
@@ -380,7 +378,6 @@ def gmt_counterexample_check(
     # the sets ``compare_common`` judges strictly better than the baseline's:
     # the baseline is stable, so it hands ``a`` a listed set or none, and
     # exactly the entries ranked above that set beat it
-    true = p[a]
     better = frozenset(true.ranked[:true.rank_of(matched_set(baseline, a))])
     da = rule in (StableRule.FIRM_OPTIMAL, StableRule.WORKER_OPTIMAL)
     rule_failures = 0
@@ -398,7 +395,7 @@ def gmt_counterexample_check(
             rule_failures += 1
             continue
         if matched_set(manipulated, a) in better:
-            profitable.append(_outcome(make_misreport(a, reported), p, manipulated, baseline,
+            profitable.append(_outcome(reported, p, manipulated, baseline,
                                        OrderVerdict.BETTER_STRICT))
 
     return CounterexampleReport(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .axioms import check_lad
 from .core import MarketInstance, Matching, PreferenceRelation, bits
 from .fileformat import format_names, matching_to_dict, parse_market
-from .manipulation import evaluate_misreport, gmt_counterexample_check, make_misreport, verify_gmt
+from .manipulation import evaluate_misreport, gmt_counterexample_check, verify_gmt
 from .solver import OrderVerdict, StableRule, apply_rule
 from .stability import blocking_pairs, enumerate_stable
 
@@ -88,7 +88,7 @@ def _demo_rows(inst: MarketInstance) -> list[tuple[str, str, str]]:
     mu_w = apply_rule(StableRule.WORKER_OPTIMAL, p)
     w1 = inst.agent_id("w1")
     only_f3 = PreferenceRelation(owner=w1, ranked=(1 << inst.firm_names.index("f3"),))
-    outcome = evaluate_misreport(w1, make_misreport(w1, only_f3), StableRule.FIRM_OPTIMAL, p, mu_f)
+    outcome = evaluate_misreport(only_f3, StableRule.FIRM_OPTIMAL, p, mu_f)
     pairs = blocking_pairs(outcome.manipulated, p)
     verification = verify_gmt(w1, StableRule.FIRM_OPTIMAL, p)
     return [

@@ -34,7 +34,6 @@ from manymatch.manipulation import (
     _all_relations,
     _sublist_relations,
     evaluate_misreport,
-    make_misreport,
 )
 from manymatch.solver import OrderVerdict, StableRule, apply_rule, compare_common, side_optimal
 from manymatch.stability import enumerate_stable, is_stable
@@ -133,7 +132,7 @@ def plain_counterexample_search(p: Profile, rule: StableRule, a: AgentId,
     if not applicable:
         total, candidates = 0, ()
         scope = "agent already receives its side-optimal assignment"
-    outcomes = [evaluate_misreport(a, make_misreport(a, reported), rule, p, baseline)
+    outcomes = [evaluate_misreport(reported, rule, p, baseline)
                 for reported in candidates]
     failures = sum(outcome.failure is not None for outcome in outcomes)
     return CounterexampleReport(

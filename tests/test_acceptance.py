@@ -39,7 +39,6 @@ from manymatch.fileformat import serialize_market
 from manymatch.manipulation import (
     evaluate_misreport,
     gmt_counterexample_check,
-    make_misreport,
     restrict_preference,
     truncation_strategy,
 )
@@ -84,8 +83,8 @@ def test_criterion_1_manipulation_demo_reproduction():
     assert mu_w == Matching.from_pairs([(0, 0), (0, 2), (1, 1), (2, 3)])
 
     w1 = inst.agent_id("w1")
-    misreport = make_misreport(w1, relation(w1, (2,)))  # only f3 acceptable
-    outcome = evaluate_misreport(w1, misreport, StableRule.FIRM_OPTIMAL, p, mu_f)
+    misreport = relation(w1, (2,))  # only f3 acceptable
+    outcome = evaluate_misreport(misreport, StableRule.FIRM_OPTIMAL, p, mu_f)
     assert outcome.manipulated == Matching.from_pairs([(0, 2), (0, 3), (1, 1), (2, 0)])
     assert outcome.manipulated_stable_under_truth is False
     pairs = blocking_pairs(outcome.manipulated, p)
@@ -118,8 +117,8 @@ def test_criterion_2_firms_immune_reproduction():
     for name, (want_mu, want_verdict, want_ranked) in expected.items():
         agent = inst.agent_id(name)
         misreport = truncation_strategy(agent, mu_f, p)
-        assert misreport.reported.ranked == want_ranked, name
-        outcome = evaluate_misreport(agent, misreport, StableRule.WORKER_OPTIMAL, p, h_w)
+        assert misreport.ranked == want_ranked, name
+        outcome = evaluate_misreport(misreport, StableRule.WORKER_OPTIMAL, p, h_w)
         assert outcome.manipulated == want_mu, name
         assert outcome.verdict_common is want_verdict, name
 

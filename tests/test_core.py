@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from conftest import pset, relation
 from manymatch import AgentId, Matching, Profile, Side, StableRule, verify_gmt
-from manymatch.axioms import check_substitutable
+from manymatch.axioms import check_lad, check_substitutable
 from manymatch.core import (
     MAX_SIDE,
     MarketInstance,
@@ -24,6 +24,7 @@ from manymatch.core import (
     replace_preference,
 )
 from manymatch.markets import bundled
+from manymatch.stability import enumerate_stable
 
 F = Side.FIRM
 W = Side.WORKER
@@ -77,6 +78,12 @@ class TestPreferenceRelation:
         assert pref.rank_of(pset(1)) == 0
         assert pref.rank_of(pset(0, 1)) is None
 
+    def test_list_is_taken_as_a_tuple(self):
+        listed = PreferenceRelation(AgentId(F, 0), [pset(0, 1), pset(0), pset(1)])
+        built = PreferenceRelation(AgentId(F, 0), (pset(0, 1), pset(0), pset(1)))
+        assert listed == built and hash(listed) == hash(built)
+        assert check_substitutable(listed).holds and check_lad(listed).holds
+
 
 def two_by_two_profile() -> Profile:
     firm_prefs = (
@@ -91,6 +98,12 @@ def two_by_two_profile() -> Profile:
 
 
 class TestProfile:
+    def test_lists_are_taken_as_tuples(self):
+        built = two_by_two_profile()
+        listed = Profile(list(built.firm_prefs), list(built.worker_prefs))
+        assert listed == built and hash(listed) == hash(built)
+        assert enumerate_stable(listed) == enumerate_stable(two_by_two_profile())
+
     def test_owner_slot_mismatch_rejected(self):
         good = relation(AgentId(F, 0), (0,))
         with pytest.raises(ValueError):

@@ -152,20 +152,20 @@ class TestTruncationStrategy:
         p = demo_market.profile
         w1 = AgentId(W, 0)
         m = truncation_strategy(w1, DEMO_MU_W, p)
-        assert m.reported.ranked == (pset(0),)
-        assert check_substitutable(m.reported).holds and check_lad(m.reported).holds
+        assert m.ranked == (pset(0),)
+        assert check_substitutable(m).holds and check_lad(m).holds
         w4 = AgentId(W, 3)
-        assert truncation_strategy(w4, DEMO_MU_W, p).reported.ranked == (pset(2),)
+        assert truncation_strategy(w4, DEMO_MU_W, p).ranked == (pset(2),)
 
     def test_unmatched_agent_reports_empty_list(self, firms_immune_market):
         p = firms_immune_market.profile
         m = truncation_strategy(AgentId(F, 2), EX1_MU_W, p)
-        assert m.reported.ranked == ()
+        assert m.ranked == ()
 
     def test_firms_immune_f1_reproduces_recorded_misreport(self, firms_immune_market):
         p = firms_immune_market.profile
         m = truncation_strategy(AgentId(F, 0), EX1_MU_F, p)
-        assert m.reported.ranked == (pset(0, 1), pset(0), pset(1))
+        assert m.ranked == (pset(0, 1), pset(0), pset(1))
 
     def test_unstable_target_rejected(self, demo_market):
         unstable = Matching.from_pairs([(0, 2), (0, 3), (1, 1), (2, 0)])
@@ -177,9 +177,9 @@ class TestEvaluateMisreport:
     def test_demo_w1_reports_only_f3(self, demo_market):
         p = demo_market.profile
         w1 = AgentId(W, 0)
-        m = make_misreport(w1, relation(w1, (2,)))
-        outcome = evaluate_misreport(w1, m, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
-        assert outcome.misreport is m
+        m = relation(w1, (2,))
+        outcome = evaluate_misreport(m, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
+        assert outcome.reported is m
         assert outcome.manipulated == Matching.from_pairs([(0, 2), (0, 3), (1, 1), (2, 0)])
         assert outcome.verdict_common is OrderVerdict.BETTER_STRICT
         assert outcome.verdict_blair is OrderVerdict.BETTER_STRICT
@@ -196,8 +196,8 @@ class TestEvaluateMisreport:
     def test_truthful_report_changes_nothing(self, demo_market):
         p = demo_market.profile
         w1 = AgentId(W, 0)
-        truthful = make_misreport(w1, p[w1])
-        outcome = evaluate_misreport(w1, truthful, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
+        truthful = p[w1]
+        outcome = evaluate_misreport(truthful, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
         assert outcome.manipulated == DEMO_MU_F
         assert outcome.verdict_common is OrderVerdict.EQUAL
         assert outcome.verdict_blair is OrderVerdict.EQUAL
@@ -205,8 +205,8 @@ class TestEvaluateMisreport:
     def test_firms_immune_f1_truncation_backfires(self, firms_immune_market):
         p = firms_immune_market.profile
         f1 = AgentId(F, 0)
-        m = make_misreport(f1, relation(f1, (0, 1), (0,), (1,)))
-        outcome = evaluate_misreport(f1, m, StableRule.WORKER_OPTIMAL, p, EX1_MU_W)
+        m = relation(f1, (0, 1), (0,), (1,))
+        outcome = evaluate_misreport(m, StableRule.WORKER_OPTIMAL, p, EX1_MU_W)
         assert outcome.manipulated == Matching.from_pairs([(1, 0), (1, 3), (2, 1), (2, 2)])
         assert matched_set(outcome.manipulated, f1) == 0
         assert outcome.verdict_common is OrderVerdict.WORSE_STRICT
@@ -215,9 +215,9 @@ class TestEvaluateMisreport:
         # a non-substitutable report cannot be fed to deferred acceptance
         p = demo_market.profile
         w1 = AgentId(W, 0)
-        m = make_misreport(w1, relation(w1, (0, 2)))
-        assert not check_substitutable(m.reported).holds
-        outcome = evaluate_misreport(w1, m, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
+        m = relation(w1, (0, 2))
+        assert not check_substitutable(m).holds
+        outcome = evaluate_misreport(m, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
         assert outcome.failure is not None
         assert outcome.manipulated is None
         assert outcome.verdict_common is None
@@ -230,9 +230,9 @@ class TestEvaluateMisreport:
         tame = relation(f1, (1,))
         p_true = replace_preference(p_bad, f1, tame)
         assert len(enumerate_stable(p_true)) > 0
-        m = make_misreport(f1, p_bad[f1])
+        m = p_bad[f1]
         baseline = apply_rule(StableRule.SELECT_FIRST, p_true)
-        outcome = evaluate_misreport(f1, m, StableRule.SELECT_FIRST, p_true, baseline)
+        outcome = evaluate_misreport(m, StableRule.SELECT_FIRST, p_true, baseline)
         assert outcome.failure is not None
 
 
@@ -244,7 +244,7 @@ class TestVerifyGmt:
         assert v.side_optimum == DEMO_MU_W
         assert len(v.checks) == 1
         check = v.checks[0]
-        assert check.outcome.misreport.reported.ranked == (pset(0),)
+        assert check.outcome.reported.ranked == (pset(0),)
         assert check.assertions == (True, True, True, True)
         assert v.all_hold
 
@@ -479,7 +479,7 @@ class TestCounterexampleSearch:
         p = demo_market.profile
         report = gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, AgentId(W, 0))
         assert report.profitable
-        reported = {outcome.misreport.reported.ranked for outcome in report.profitable}
+        reported = {outcome.reported.ranked for outcome in report.profitable}
         assert (pset(2),) in reported  # keeping only f3 works
         assert (pset(0),) in reported  # the truncation construction works too
 
@@ -648,6 +648,28 @@ class TestCounterexampleSearch:
         with pytest.raises(UnsupportedSizeError, match="^exhaustive misreport search"):
             gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, AgentId(F, 0), exhaustive=True)
         assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("check", [
+    lambda p, a: verify_gmt(a, StableRule.FIRM_OPTIMAL, p),
+    lambda p, a: gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, a),
+    lambda p, a: gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, a, exhaustive=True),
+], ids=["verify_gmt", "sublists", "exhaustive"])
+@pytest.mark.parametrize("agent, message", [
+    (AgentId(F, 3), "^no firm 3 in the profile$"),
+    (AgentId(W, 4), "^no worker 4 in the profile$"),
+], ids=["firm", "worker"])
+def test_agent_outside_the_profile_refused_before_any_work(monkeypatch, demo_market, check,
+                                                           agent, message):
+    # the 3x4 demo market; an exhaustive search for firm 3 would also exceed the cap
+    import manymatch.manipulation as manipulation
+
+    def no_apply_rule(*args):
+        raise AssertionError("the rule ran before the agent was checked")
+
+    monkeypatch.setattr(manipulation, "apply_rule", no_apply_rule)
+    with pytest.raises(ValueError, match=message):
+        check(demo_market.profile, agent)
 
 
 # ---------------------------------------------------------------------------

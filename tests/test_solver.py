@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    matching_from_mask,
     pairwise_side_optimal,
     plain_deferred_acceptance,
     random_profile,
@@ -225,22 +226,13 @@ def test_equal_verdicts_agree_between_orders(seed, mask1, mask2):
     rng = random.Random(seed)
     p = random_substitutable_profile(rng, max_side=3)
     bits = p.num_firms * p.num_workers
-    mu1 = _matching_from_mask(mask1 % (1 << bits), p.num_workers)
-    mu2 = _matching_from_mask(mask2 % (1 << bits), p.num_workers)
+    mu1 = matching_from_mask(mask1 % (1 << bits), p.num_workers)
+    mu2 = matching_from_mask(mask2 % (1 << bits), p.num_workers)
     for a in p.agents():
         common = compare_common(mu1, mu2, a, p)
         blair = compare_blair(mu1, mu2, a, p)
         assert (common is OrderVerdict.EQUAL) == (blair is OrderVerdict.EQUAL)
         assert (common is OrderVerdict.EQUAL) == (matched_set(mu1, a) == matched_set(mu2, a))
-
-
-def _matching_from_mask(mask, num_workers):
-    pairs = [
-        (bit // num_workers, bit % num_workers)
-        for bit in range(mask.bit_length())
-        if mask >> bit & 1
-    ]
-    return Matching.from_pairs(pairs)
 
 
 def _responsive_square(seed: int, n: int, quota: int) -> Profile:
@@ -327,7 +319,7 @@ def test_side_optimal_equals_pairwise_on_hand_built_tuples():
         p = random_profile(rng)
         edges = p.num_firms * p.num_workers
         ss = tuple(
-            _matching_from_mask(rng.getrandbits(edges), p.num_workers)
+            matching_from_mask(rng.getrandbits(edges), p.num_workers)
             for _ in range(rng.randint(2, 4))
         )
         results += _assert_side_optimal_is_pairwise(ss, p)

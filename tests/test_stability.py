@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     brute_stable_matchings,
+    matching_from_mask,
     plain_kept_whole,
     random_profile,
     random_relation,
@@ -265,18 +266,9 @@ def test_enumerate_large_market_spans_multiple_chunks():
 def test_stability_decomposes_into_rationality_and_no_blocks(seed, raw_mask):
     p = random_profile(random.Random(seed), max_side=3)
     bits = p.num_firms * p.num_workers
-    mu = _mask_matching(raw_mask % (1 << bits), p.num_workers)
+    mu = matching_from_mask(raw_mask % (1 << bits), p.num_workers)
     rational, _ = is_individually_rational(mu, p)
     assert is_stable(mu, p) == (rational and not blocking_pairs(mu, p))
-
-
-def _mask_matching(mask, num_workers):
-    pairs = [
-        (bit // num_workers, bit % num_workers)
-        for bit in range(mask.bit_length())
-        if mask >> bit & 1
-    ]
-    return Matching.from_pairs(pairs)
 
 
 def test_substitutable_profiles_have_stable_matchings():
