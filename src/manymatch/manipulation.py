@@ -23,7 +23,8 @@ fact about deferred acceptance on substitutable relations:
   substitutable: every unchanged relation passed DA's precondition in the
   truthful run, so the swapped profile fails that precondition exactly when
   the report does.  Such a report is counted as a rule failure without
-  running the rule.
+  running the rule, and for any other report DA's rounds run without the
+  precondition (``solver.da_rounds``).
 - Under the two DA rules, the agent's output is an entry of its reported
   list or the empty set, and the truthful output is an entry of the true
   list or empty, so the empty set never beats it.  A report that keeps no
@@ -34,6 +35,18 @@ fact about deferred acceptance on substitutable relations:
   1984), so the side optimum is that DA rule's truthful output, and DA's own
   precondition decides the domain.  Off it the optimum is read off the
   enumeration.
+
+A sublist report is decided by its keep mask K over the true list E_0,
+E_1, ...  A list's choice (its first entry inside the offer) fails
+substitutability exactly when for some entry F_t, member m of F_t and T,
+empty or a later entry F_u without m and not holding F_t - m, Ch(F_t | T) =
+F_t and Ch((F_t | T) - m) = T.  Only removing a chosen member can break a
+choice, and a violation at a larger offer S with Ch(S) = F_t and Ch(S - m)
+= T is one at F_t | T too, as a smaller offer has no new entry inside it.
+So K fails exactly when for some pattern (t, m, u) it holds need = {t, u}
+and misses forbid = {l < t : E_l inside E_t | E_u} and {t < l < u : E_l
+inside (E_t | E_u) - m}.  One table per search holds at most L^2 * k
+patterns for L entries over k members, and none for a list of singletons.
 """
 
 from __future__ import annotations
@@ -65,6 +78,7 @@ from .solver import (
     apply_rule,
     compare_blair,
     compare_common,
+    da_rounds,
     side_optimal,
 )
 from .stability import enumerate_stable, is_stable
@@ -326,13 +340,27 @@ def _all_relations(owner: AgentId, opposite_count: int) -> tuple[int, Iterator[P
     return count, relations()
 
 
-def _sublist_relations(pref: PreferenceRelation) -> tuple[int, Iterator[PreferenceRelation]]:
-    """Every order-preserving sublist of the true list, by keep mask, and their number."""
-    entries = pref.ranked
-    return 1 << len(entries), (
-        _valid_relation(pref.owner, tuple(entries[i] for i in bits(keep)))
-        for keep in range(1 << len(entries))
-    )
+def _failing_sublists(ranked: tuple[int, ...]) -> set[int]:
+    """The keep masks whose sublist of ``ranked`` is not substitutable: for each
+    violation pattern of the module docstring, ``need`` and any free positions."""
+    full = (1 << len(ranked)) - 1
+    failing = set()
+    for t, chosen in enumerate(ranked):
+        for m in bits(chosen):
+            rest = chosen & ~(1 << m)
+            for u, after in enumerate(ranked[t + 1:] + (0,), t + 1):
+                if after >> m & 1 or rest & ~after == 0:
+                    continue
+                need = (1 << t) | ((1 << u) & full)  # u == len(ranked) stands for T = {}
+                forbid = sum(1 << i for i in range(t) if ranked[i] & ~(chosen | after) == 0)
+                forbid |= sum(1 << i for i in range(t + 1, u) if ranked[i] & ~(rest | after) == 0)
+                free = extra = full & ~need & ~forbid
+                while True:
+                    failing.add(need | extra)
+                    if not extra:
+                        break
+                    extra = (extra - 1) & free
+    return failing
 
 
 def gmt_counterexample_check(
@@ -348,14 +376,10 @@ def gmt_counterexample_check(
     with no stable matching) count as rule failures, never as profitable.
 
     A report is profitable when the rule hands ``a`` a set its true list
-    ranks above the baseline's; that set of sets is fixed for the search.
-    Under the two DA rules the rule runs only for a report that is
-    substitutable (every unchanged relation passed DA's precondition in the
-    truthful run, so exactly the other reports fail) and that lists one of
-    those sets (DA's output is a listed set or empty, and the empty set never
-    beats DA's truthful output, which is itself listed or empty).  The
-    selector rules run once per report: only the enumeration tells whether a
-    report leaves a stable matching.
+    ranks above the baseline's.  Under the two DA rules the shortcuts of the
+    module docstring decide most reports without building their relation;
+    the selector rules run once per report, as only the enumeration tells
+    whether a report leaves a stable matching.
     """
     if a.index >= p.side_count(a.side):
         raise ValueError(f"no {a} in the profile")
@@ -366,7 +390,8 @@ def gmt_counterexample_check(
     else:
         mode, scope = "sublists", ("order-preserving sublists of the true list only; "
                                    "relations outside the true list were not searched")
-        total, candidates = _sublist_relations(true)
+        total = 1 << len(true.ranked)
+        candidates = range(total)
     if total > CANDIDATE_CAP:
         raise UnsupportedSizeError(f"{mode} misreport search for {{agent}} would try more "
                                    f"than {CANDIDATE_CAP} candidates", a)
@@ -377,20 +402,32 @@ def gmt_counterexample_check(
 
     # the sets ``compare_common`` judges strictly better than the baseline's:
     # the baseline is stable, so it hands ``a`` a listed set or none, and
-    # exactly the entries ranked above that set beat it
+    # exactly the entries ranked above that set beat it; ``above`` holds their positions
     better = frozenset(true.ranked[:true.rank_of(matched_set(baseline, a))])
+    above = (1 << len(better)) - 1
     da = rule in (StableRule.FIRM_OPTIMAL, StableRule.WORKER_OPTIMAL)
+    proposing = Side.FIRM if rule is StableRule.FIRM_OPTIMAL else Side.WORKER
+    if exhaustive:  # the candidates are relations
+        fails = lambda reported: not check_substitutable(reported).holds
+        gains = lambda reported: not better.isdisjoint(reported.ranked)
+        report = lambda reported: reported
+    else:  # the candidates are keep masks over the true list's positions
+        fails = (_failing_sublists(true.ranked) if da and applicable else set()).__contains__
+        gains = lambda keep: keep & above
+        report = lambda keep: _valid_relation(a, tuple(true.ranked[i] for i in bits(keep)))
     rule_failures = 0
     profitable = []
-    for reported in candidates:
+    for candidate in candidates:
         if da:
-            if not check_substitutable(reported).holds:
+            if fails(candidate):
                 rule_failures += 1
                 continue
-            if better.isdisjoint(reported.ranked):
+            if not gains(candidate):
                 continue
+        reported = report(candidate)
+        swapped = replace_preference(p, a, reported)
         try:
-            manipulated = apply_rule(rule, replace_preference(p, a, reported))
+            manipulated = da_rounds(swapped, proposing) if da else apply_rule(rule, swapped)
         except NoStableMatchingError:
             rule_failures += 1
             continue

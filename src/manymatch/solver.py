@@ -49,17 +49,18 @@ def deferred_acceptance(p: Profile, proposing: Side) -> Matching:
     """Run deferred acceptance with ``proposing`` as the offering side.
 
     Every agent's relation must be substitutable (checked); the algorithm's
-    optimality guarantee does not survive without it.  The rounds are those of
-    a loop that re-evaluates everyone, but a round after the first evaluates
-    only the proposers rejected in the round before and the responders whose
-    offer set changed: a proposer at most once more than it is rejected, and
-    at most n*m rejections in all.
+    optimality guarantee does not survive without it.
     """
     for pref in p.firm_prefs + p.worker_prefs:
         if not check_substitutable(pref).holds:
             raise PreconditionError(
                 "deferred acceptance requires substitutability; {agent} fails it", pref.owner)
+    return da_rounds(p, proposing)
 
+
+def da_rounds(p: Profile, proposing: Side) -> Matching:
+    """The rounds of ``deferred_acceptance`` without its precondition, for a
+    caller that knows every relation of ``p`` is substitutable."""
     if proposing is Side.FIRM:
         prop_prefs, resp_prefs = p.firm_prefs, p.worker_prefs
     else:

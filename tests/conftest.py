@@ -29,12 +29,7 @@ from manymatch.core import (
     matched_set,
     transpose,
 )
-from manymatch.manipulation import (
-    CounterexampleReport,
-    _all_relations,
-    _sublist_relations,
-    evaluate_misreport,
-)
+from manymatch.manipulation import CounterexampleReport, _all_relations, evaluate_misreport
 from manymatch.solver import OrderVerdict, StableRule, apply_rule, compare_common, side_optimal
 from manymatch.stability import enumerate_stable, is_stable
 from manymatch.markets import bundled
@@ -111,6 +106,14 @@ def pairwise_side_optimal(ss: tuple[Matching, ...], p: Profile, side: Side) -> M
         ):
             return candidate
     return None
+
+
+def _sublist_relations(pref: PreferenceRelation):
+    """Every order-preserving sublist of the true list, by ascending keep
+    mask (the search's candidate order), and their number."""
+    count = 1 << len(pref.ranked)
+    return count, (PreferenceRelation(pref.owner, tuple(pref.ranked[i] for i in bits(keep)))
+                   for keep in range(count))
 
 
 def plain_counterexample_search(p: Profile, rule: StableRule, a: AgentId,

@@ -5,6 +5,7 @@ import importlib
 import os
 import random
 import time
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,11 +24,13 @@ from manymatch import (
     AgentId,
     Matching,
     Profile,
+    QuotaRanking,
     Side,
     StableRule,
     deferred_acceptance,
     enumerate_stable,
     parse_market,
+    responsive_preference,
     side_optimal,
     verify_gmt,
 )
@@ -50,7 +53,7 @@ from manymatch.manipulation import (
     truncation_strategy,
 )
 from manymatch.markets import BUNDLED, bundled
-from manymatch.solver import OrderVerdict, apply_rule, compare_blair, compare_common
+from manymatch.solver import OrderVerdict, apply_rule, compare_blair, compare_common, da_rounds
 from manymatch.stability import is_stable
 
 from test_stability import (
@@ -507,11 +510,18 @@ class TestCounterexampleSearch:
             runs.append((r, q))
             return apply_rule(r, q)
 
+        def counting_da_rounds(q, proposing):
+            runs.append((StableRule.FIRM_OPTIMAL if proposing is F else StableRule.WORKER_OPTIMAL,
+                         q))
+            return da_rounds(q, proposing)
+
         monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
+        monkeypatch.setattr(manipulation, "da_rounds", counting_da_rounds)
 
         def rule_runs(a, report):
-            # a selector rule runs once per candidate; a DA rule only for
-            # the substitutable reports that list a set above the baseline
+            # a selector rule runs once per candidate; a DA rule runs its
+            # rounds only for the substitutable reports that list a set
+            # above the baseline
             if rule in (StableRule.SELECT_FIRST, StableRule.SELECT_LAST):
                 return report.candidates_total
             return _da_sublist_counts(p, a, report.baseline)[1]
@@ -544,7 +554,7 @@ class TestCounterexampleSearch:
         import manymatch.manipulation as manipulation
 
         calls = {}
-        for name in ("apply_rule", "compare_common", "compare_blair", "is_stable"):
+        for name in ("apply_rule", "da_rounds", "compare_common", "compare_blair", "is_stable"):
             def counted(*args, _name=name, _original=getattr(manipulation, name)):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _original(*args)
@@ -556,9 +566,10 @@ class TestCounterexampleSearch:
         assert _da_sublist_counts(p, a, report.baseline) == (0, 6)
         assert (report.evaluated, report.rule_failures, len(report.profitable)) == (8, 0, 3)
         assert calls["compare_blair"] == calls["is_stable"] == 3
-        # the 6 runs, the truthful run, and worker-proposing DA for w1's side
-        # optimum
-        assert calls["apply_rule"] == 6 + 2
+        # the 6 runs go straight to the rounds; the rule runs whole only on
+        # the truthful profile, and worker-proposing DA for w1's side optimum
+        assert calls["da_rounds"] == 6
+        assert calls["apply_rule"] == 2
         assert "compare_common" not in calls
 
     def test_exhaustive_cap(self, firms_immune_market):
@@ -635,7 +646,8 @@ class TestCounterexampleSearch:
 
     @pytest.mark.parametrize("entries", range(11))
     def test_sublist_count_is_the_number_of_candidates(self, entries):
-        from manymatch.manipulation import _sublist_relations
+        # the plain search's candidates; the search itself walks the keep masks
+        from conftest import _sublist_relations
 
         true = PreferenceRelation(owner=AgentId(F, 0), ranked=tuple(range(1, entries + 1)))
         count, candidates = _sublist_relations(true)
@@ -648,6 +660,42 @@ class TestCounterexampleSearch:
         with pytest.raises(UnsupportedSizeError, match="^exhaustive misreport search"):
             gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, AgentId(F, 0), exhaustive=True)
         assert time.perf_counter() - start < 0.1
+
+    def test_wide_singleton_list_search_runs_no_axiom_check(self, monkeypatch):
+        # w1 lists 14 single firms: 2^14 sublists, all substitutable, of which
+        # 2^13 keep f2, the one firm ranked above w1's firm-optimal partner
+        # f1, and 2^12 drop f1 as well and win f2.  A verdict that scans
+        # every offer set per candidate, or DA re-checking the swapped
+        # profile, shows here as axiom checks.
+        import manymatch.manipulation as manipulation
+        import manymatch.solver as solver
+
+        firms = [f"f{i}" for i in range(1, 15)]
+        instance = parse_market("\n".join([
+            f"firms: {' '.join(firms)}", "workers: w1 w2",
+            "pref f1: w1 | w2", "pref f2: w2 | w1", *(f"pref {f}:" for f in firms[2:]),
+            "pref w1: " + " | ".join(["f2", "f1"] + firms[2:]), "pref w2: f1 | f2"]))
+        p, a = instance.profile, instance.agent_id("w1")
+        # the truthful runs check every relation once; they are kept on p
+        manipulation._truthful_standing(a, StableRule.FIRM_OPTIMAL, p)
+        calls = {"check_substitutable": 0, "deferred_acceptance": 0, "da_rounds": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for module in (manipulation, solver):
+            monkeypatch.setattr(module, "check_substitutable",
+                                counted("check_substitutable", check_substitutable))
+        monkeypatch.setattr(solver, "deferred_acceptance",
+                            counted("deferred_acceptance", deferred_acceptance))
+        monkeypatch.setattr(manipulation, "da_rounds", counted("da_rounds", da_rounds))
+        report = gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, a)
+        assert (report.candidates_total, report.evaluated, report.rule_failures,
+                len(report.profitable)) == (16384, 16384, 0, 4096)
+        assert calls == {"check_substitutable": 0, "deferred_acceptance": 0, "da_rounds": 8192}
 
 
 @pytest.mark.parametrize("check", [
@@ -700,6 +748,33 @@ def test_restriction_faithfulness_on_corpus(responsive_corpus):
                 assert set(restricted.ranked) <= set(p[a].ranked)
 
 
+def test_sublist_verdicts_equal_the_substitutability_check():
+    # the search decides a sublist under the DA rules by its keep mask,
+    # from the violation patterns of the true list; check_substitutable on
+    # the sublist itself is the oracle
+    from manymatch.manipulation import _failing_sublists
+
+    rng = random.Random(20)
+    lists = []
+    for _ in range(2000):
+        pool = range(1, 1 << rng.randint(1, 5))
+        lists.append(tuple(rng.sample(pool, rng.randint(0, min(10, len(pool))))))
+    # every 6-entry quota-2 responsive list over 3 members
+    lists += [responsive_preference(QuotaRanking(AgentId(F, 0), ranking, 2)).ranked
+              for ranking in permutations(range(3))]
+    failures = total = 0
+    for ranked in lists:
+        failing = _failing_sublists(ranked)
+        assert failing <= set(range(1 << len(ranked)))
+        for keep in range(1 << len(ranked)):
+            sublist = PreferenceRelation(AgentId(F, 0), tuple(
+                entry for i, entry in enumerate(ranked) if keep >> i & 1))
+            assert (keep in failing) is not check_substitutable(sublist).holds, (ranked, keep)
+        failures += len(failing)
+        total += 1 << len(ranked)
+    assert 0 < failures < total
+
+
 def _report_or_refusal(search, p, rule, a, exhaustive):
     try:
         return search(p, rule, a, exhaustive)
@@ -726,36 +801,60 @@ def _search_markets(generator: str, count: int) -> list[Profile]:
     return markets
 
 
+def _quota_two_markets(workers: int, count: int) -> list[Profile]:
+    """The first ``count`` random 3 x ``workers`` markets with two or more
+    stable matchings in which every agent ranks three partners with quota 2,
+    a 6-entry responsive list with 64 sublists, as in the benchmark's
+    quota-2 ``manipulate`` markets."""
+    markets, seed = [], 0
+    while len(markets) < count:
+        rng = random.Random(seed)
+        seed += 1
+        p = Profile(
+            tuple(responsive_preference(QuotaRanking(AgentId(F, i), tuple(
+                rng.sample(range(workers), 3)), 2)) for i in range(3)),
+            tuple(responsive_preference(QuotaRanking(AgentId(W, j), tuple(
+                rng.sample(range(3), 3)), 2)) for j in range(workers)))
+        if len(enumerate_stable(p)) >= 2:
+            markets.append(p)
+    return markets
+
+
 def test_search_equals_the_plain_per_candidate_search(monkeypatch):
     # the search judges each report by its list order before building its
     # record, and under a DA rule decides failures by the substitutability
-    # verdict and skips reports listing nothing above the baseline; the
-    # plain loop runs the rule on every report and keeps the profitable ones
+    # verdict, skips reports listing nothing above the baseline and runs DA's
+    # rounds without its precondition; the plain loop runs the whole rule on
+    # every report and keeps the profitable ones
     import manymatch.manipulation as manipulation
 
-    calls, raised = [], []
+    whole, rounds = [], []
 
     def counting_apply_rule(r, q):
-        calls.append(q)
-        try:
-            return apply_rule(r, q)
-        except (PreconditionError, NoStableMatchingError):
-            raised.append(q)
-            raise
+        whole.append(q)
+        return apply_rule(r, q)
+
+    def counting_da_rounds(q, proposing):
+        rounds.append(q)
+        # the precondition the rounds skip holds on every profile they get
+        assert all(check_substitutable(pref).holds for pref in q.firm_prefs + q.worker_prefs)
+        return da_rounds(q, proposing)
 
     monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
+    monkeypatch.setattr(manipulation, "da_rounds", counting_da_rounds)
     seen = {"profitable": 0, "failures": 0, "exhaustive": 0, "refused": 0,
             "verdict_failures": 0, "skipped_runs": 0}
-    for p in _search_markets("arbitrary", 30) + _search_markets("responsive", 12):
+    markets = _search_markets("arbitrary", 30) + _search_markets("responsive", 12)
+    markets += _quota_two_markets(3, 2) + _quota_two_markets(4, 2)
+    for p in markets:
         for rule in StableRule:
             for a in p.agents():
                 modes = (False, True) if p.side_count(a.side.opposite) <= 2 else (False,)
                 for exhaustive in modes:
-                    calls.clear()
-                    raised.clear()
+                    whole.clear()
+                    rounds.clear()
                     fast = _report_or_refusal(gmt_counterexample_check, p, rule, a, exhaustive)
-                    runs = sum(q is not p for q in calls)
-                    swapped_raised = sum(q is not p for q in raised)
+                    runs = sum(q is not p for q in whole)
                     plain = _report_or_refusal(plain_counterexample_search, p, rule, a,
                                                exhaustive)
                     # the generated equality compares every field, the
@@ -768,14 +867,15 @@ def test_search_equals_the_plain_per_candidate_search(monkeypatch):
                     seen["failures"] += fast.rule_failures
                     seen["exhaustive"] += exhaustive
                     if rule in (StableRule.FIRM_OPTIMAL, StableRule.WORKER_OPTIMAL):
-                        # no DA run on a report raises: its failures are
+                        # a report runs only DA's rounds: its failures are
                         # decided by the verdict, and some runs are skipped
-                        assert swapped_raised == 0
-                        assert runs <= fast.evaluated
+                        assert runs == 0
+                        assert len(rounds) <= fast.evaluated
                         seen["verdict_failures"] += fast.rule_failures
-                        seen["skipped_runs"] += fast.evaluated - runs
+                        seen["skipped_runs"] += fast.evaluated - len(rounds)
                     else:
                         assert runs == fast.candidates_total
+                        assert not rounds
     assert all(seen.values()), seen
 
 
