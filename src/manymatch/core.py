@@ -190,7 +190,7 @@ class Profile:
         return len(self.worker_prefs)
 
     def side_count(self, side: Side) -> int:
-        return self.num_firms if side is Side.FIRM else self.num_workers
+        return len(self.firm_prefs if side is Side.FIRM else self.worker_prefs)
 
     def agents(self) -> Iterator[AgentId]:
         for i in range(self.num_firms):

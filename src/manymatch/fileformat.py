@@ -95,32 +95,30 @@ def parse_market(text: str) -> MarketInstance:
         raise ParseError(f"at most {MAX_SIDE} agents per side are supported")
     if not firm_names or not worker_names:
         raise ParseError("each side needs at least one agent")
-    for side_label, names in (("firm", firm_names), ("worker", worker_names)):
-        seen = set()
+    firm_index, worker_index = {}, {}  # name -> index on its side
+    for side_label, names, index in (("firm", firm_names, firm_index),
+                                     ("worker", worker_names, worker_index)):
         for name in names:
-            if name in seen:
+            if name in index:
                 raise ParseError(f"duplicate {side_label} name {name!r}")
-            seen.add(name)
-    overlap = set(firm_names) & set(worker_names)
+            index[name] = len(index)
+    overlap = firm_index.keys() & worker_index.keys()
     if overlap:
         raise ParseError(f"name {sorted(overlap)[0]!r} declared on both sides")
 
-    firm_index = {name: i for i, name in enumerate(firm_names)}
-    worker_index = {name: j for j, name in enumerate(worker_names)}
-
-    relations: dict[AgentId, PreferenceRelation] = {}
+    firm_prefs, worker_prefs = [None] * len(firm_names), [None] * len(worker_names)
     for lineno, head, start, body, offset in pref_lines:
         name = head.strip()
         if name in firm_index:
             owner = AgentId(Side.FIRM, firm_index[name])
-            members, member_side = worker_index, Side.WORKER
+            slots, members, member_side = firm_prefs, worker_index, Side.WORKER
         elif name in worker_index:
             owner = AgentId(Side.WORKER, worker_index[name])
-            members, member_side = firm_index, Side.FIRM
+            slots, members, member_side = worker_prefs, firm_index, Side.FIRM
         else:
             raise ParseError(f"pref line for undeclared agent {name!r}", lineno,
                              _column(head, start, name))
-        if owner in relations:
+        if slots[owner.index] is not None:
             raise ParseError(f"duplicate pref line for agent {name!r}", lineno)
 
         ranked: list[int] = []
@@ -148,19 +146,16 @@ def parse_market(text: str) -> MarketInstance:
             seen_masks.add(mask)
             ranked.append(mask)
             offset += len(alt) + 1
-        relations[owner] = PreferenceRelation(owner=owner, ranked=tuple(ranked))
+        slots[owner.index] = PreferenceRelation(owner=owner, ranked=tuple(ranked))
 
-    for side, names in ((Side.FIRM, firm_names), (Side.WORKER, worker_names)):
-        for i, name in enumerate(names):
-            if AgentId(side, i) not in relations:
+    for names, slots in ((firm_names, firm_prefs), (worker_names, worker_prefs)):
+        for name, pref in zip(names, slots):
+            if pref is None:
                 raise ParseError(f"missing pref line for agent {name!r}")
 
-    profile = Profile(
-        firm_prefs=tuple(relations[AgentId(Side.FIRM, i)] for i in range(len(firm_names))),
-        worker_prefs=tuple(relations[AgentId(Side.WORKER, j)] for j in range(len(worker_names))),
-    )
     return MarketInstance(
-        firm_names=tuple(firm_names), worker_names=tuple(worker_names), profile=profile
+        firm_names=tuple(firm_names), worker_names=tuple(worker_names),
+        profile=Profile(firm_prefs=tuple(firm_prefs), worker_prefs=tuple(worker_prefs)),
     )
 
 

@@ -73,6 +73,7 @@ from .core import (
     replace_preference,
 )
 from .solver import (
+    PROPOSING,
     OrderVerdict,
     StableRule,
     apply_rule,
@@ -405,8 +406,8 @@ def gmt_counterexample_check(
     # exactly the entries ranked above that set beat it; ``above`` holds their positions
     better = frozenset(true.ranked[:true.rank_of(matched_set(baseline, a))])
     above = (1 << len(better)) - 1
-    da = rule in (StableRule.FIRM_OPTIMAL, StableRule.WORKER_OPTIMAL)
-    proposing = Side.FIRM if rule is StableRule.FIRM_OPTIMAL else Side.WORKER
+    proposing = PROPOSING.get(rule)
+    da = proposing is not None
     if exhaustive:  # the candidates are relations
         fails = lambda reported: not check_substitutable(reported).holds
         gains = lambda reported: not better.isdisjoint(reported.ranked)

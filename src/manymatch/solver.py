@@ -38,6 +38,10 @@ class StableRule(Enum):
     SELECT_LAST = "select-last"
 
 
+# The side that proposes under each deferred-acceptance rule.
+PROPOSING = {StableRule.FIRM_OPTIMAL: Side.FIRM, StableRule.WORKER_OPTIMAL: Side.WORKER}
+
+
 class OrderVerdict(Enum):
     BETTER_STRICT = "better"
     EQUAL = "equal"
@@ -150,10 +154,9 @@ def apply_rule(rule: StableRule, p: Profile) -> Matching:
     The selector rules pick from the enumerated stable set in canonical order,
     giving rules that are deliberately not side-optimal.
     """
-    if rule is StableRule.FIRM_OPTIMAL:
-        return deferred_acceptance(p, Side.FIRM)
-    if rule is StableRule.WORKER_OPTIMAL:
-        return deferred_acceptance(p, Side.WORKER)
+    proposing = PROPOSING.get(rule)
+    if proposing is not None:
+        return deferred_acceptance(p, proposing)
     ss = enumerate_stable(p)
     if not ss:
         raise NoStableMatchingError("no stable matching exists under the reported profile")

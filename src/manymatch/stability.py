@@ -11,14 +11,14 @@ cross-check the result against a plain-Python scan of all 2^(n*m) edge sets.
 One fixed budget of ``SEARCH_BUDGET`` steps bounds each enumeration: the
 list entries the set-up may scan are charged before any work, row trials
 during the search.  A profile over it raises ``UnsupportedSizeError`` and is
-not cached.
+not cached.  ``enumerate_stable`` is that cached enumerator itself, and
+``clear_enumeration_cache`` empties its cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 from .core import (
     AgentId,
@@ -28,7 +28,6 @@ from .core import (
     Side,
     UnsupportedSizeError,
     choice_mask,
-    matched_set,
     transpose,
 )
 
@@ -110,6 +109,12 @@ def _kept_whole(pref: PreferenceRelation) -> dict[int, int]:
 
 @lru_cache(maxsize=1024)
 def _enumerate_cached(p: Profile) -> tuple[Matching, ...]:
+    """Exactly the stable matchings of ``p``, in ascending order of the edge
+    mask with bit f*m + w per edge.
+
+    Results are memoized per profile; callers share the immutable tuple.
+    Raises ``UnsupportedSizeError`` when the work exceeds ``SEARCH_BUDGET``.
+    """
     n, m = p.num_firms, p.num_workers
     # _kept_whole scans at most (L + 1) * L / 2 entries of a list of L; the
     # charge per list, (L + 1)^2 * (opposite + 1), bounds that with room to
@@ -167,51 +172,5 @@ def _enumerate_cached(p: Profile) -> tuple[Matching, ...]:
     return tuple(Matching(rows) for rows in found)
 
 
-def enumerate_stable(p: Profile) -> tuple[Matching, ...]:
-    """Exactly the stable matchings of ``p``, in ascending order of the edge
-    mask with bit f*m + w per edge.
-
-    Results are memoized per profile; callers share the immutable tuple.
-    Raises ``UnsupportedSizeError`` when the work exceeds ``SEARCH_BUDGET``.
-    """
-    return _enumerate_cached(p)
-
-
-def _agents_in(ss: tuple[Matching, ...]) -> list[AgentId]:
-    """Agents matched in some member, firms first; the set must be nonempty."""
-    if not ss:
-        raise ValueError("stable set is empty")
-    firms = sorted({f for mu in ss for (f, _) in mu.edges})
-    workers = sorted({w for mu in ss for (_, w) in mu.edges})
-    return [AgentId(Side.FIRM, f) for f in firms] + [AgentId(Side.WORKER, w) for w in workers]
-
-
-def check_same_partner_counts(ss: tuple[Matching, ...]) -> tuple[bool, AgentId | None]:
-    """Is every agent matched with the same number of partners in every
-    member?  (Agents appearing in no member trivially count zero throughout.)"""
-    for agent in _agents_in(ss):
-        counts = {matched_set(mu, agent).bit_count() for mu in ss}
-        if len(counts) > 1:
-            return (False, agent)
-    return (True, None)
-
-
-def check_underfilled_constancy(
-    ss: tuple[Matching, ...], quotas: Mapping[AgentId, int]
-) -> tuple[bool, AgentId | None]:
-    """Does every agent that is under quota somewhere hold the same partner
-    set everywhere?  Quotas must cover every agent appearing in the set."""
-    for agent in _agents_in(ss):
-        if agent not in quotas:
-            raise ValueError(f"no quota supplied for {agent}")
-    ordered = sorted(quotas, key=lambda a: (a.side is Side.WORKER, a.index))
-    for agent in ordered:
-        views = [matched_set(mu, agent) for mu in ss]
-        underfilled = any(v.bit_count() < quotas[agent] for v in views)
-        if underfilled and len(set(views)) > 1:
-            return (False, agent)
-    return (True, None)
-
-
-def clear_enumeration_cache() -> None:
-    _enumerate_cached.cache_clear()
+enumerate_stable = _enumerate_cached
+clear_enumeration_cache = _enumerate_cached.cache_clear

@@ -8,12 +8,15 @@ the pairwise swap/add conditions, the responsive order by sorting rank
 vectors, the kept-whole sets via ``choice_mask`` on every set and partner,
 deferred acceptance via a loop that re-evaluates every agent in every round,
 the side optimum via ``compare_common`` over every pair of members, and the
-misreport search via a loop that fully evaluates every candidate.
+misreport search via a loop that fully evaluates every candidate.  The two
+stable-set checks of the paper's examples (same partner counts, constant
+underfilled assignments) live here too, as only tests call them.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from itertools import combinations
 
 import pytest
@@ -274,6 +277,46 @@ def responsive_oracle(pref: PreferenceRelation, q: QuotaRanking) -> bool:
                 if not position(mask | 1 << w2) < position(mask):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# stable-set checks of the paper's examples
+
+
+def _agents_in(ss: tuple[Matching, ...]) -> list[AgentId]:
+    """Agents matched in some member, firms first; the set must be nonempty."""
+    if not ss:
+        raise ValueError("stable set is empty")
+    firms = sorted({f for mu in ss for (f, _) in mu.edges})
+    workers = sorted({w for mu in ss for (_, w) in mu.edges})
+    return [AgentId(Side.FIRM, f) for f in firms] + [AgentId(Side.WORKER, w) for w in workers]
+
+
+def check_same_partner_counts(ss: tuple[Matching, ...]) -> tuple[bool, AgentId | None]:
+    """Is every agent matched with the same number of partners in every
+    member?  (Agents appearing in no member trivially count zero throughout.)"""
+    for agent in _agents_in(ss):
+        counts = {matched_set(mu, agent).bit_count() for mu in ss}
+        if len(counts) > 1:
+            return (False, agent)
+    return (True, None)
+
+
+def check_underfilled_constancy(
+    ss: tuple[Matching, ...], quotas: Mapping[AgentId, int]
+) -> tuple[bool, AgentId | None]:
+    """Does every agent that is under quota somewhere hold the same partner
+    set everywhere?  Quotas must cover every agent appearing in the set."""
+    for agent in _agents_in(ss):
+        if agent not in quotas:
+            raise ValueError(f"no quota supplied for {agent}")
+    ordered = sorted(quotas, key=lambda a: (a.side is Side.WORKER, a.index))
+    for agent in ordered:
+        views = [matched_set(mu, agent) for mu in ss]
+        underfilled = any(v.bit_count() < quotas[agent] for v in views)
+        if underfilled and len(set(views)) > 1:
+            return (False, agent)
+    return (True, None)
 
 
 # ---------------------------------------------------------------------------

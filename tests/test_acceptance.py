@@ -12,6 +12,8 @@ import time
 import pytest
 
 from conftest import (
+    check_same_partner_counts,
+    check_underfilled_constancy,
     first_lad_violation,
     first_substitutability_violation,
     pset,
@@ -44,12 +46,7 @@ from manymatch.manipulation import (
 )
 from manymatch.markets import bundled
 from manymatch.solver import OrderVerdict
-from manymatch.stability import (
-    blocking_pairs,
-    check_same_partner_counts,
-    check_underfilled_constancy,
-    is_stable,
-)
+from manymatch.stability import blocking_pairs, is_stable
 
 from test_manipulation import restriction_items_hold
 

@@ -775,6 +775,27 @@ def test_sublist_verdicts_equal_the_substitutability_check():
     assert 0 < failures < total
 
 
+def test_sublist_verdicts_on_every_list_over_three_partners():
+    # the census of the pattern lemma: every strict list over 3 partners, which
+    # holds every list over fewer, and every keep mask of each; a sublist is
+    # itself one of the lists, so check_substitutable runs once per list and
+    # each sublist's verdict is looked up by its entries
+    from manymatch.manipulation import _all_relations, _failing_sublists
+
+    count, relations = _all_relations(AgentId(F, 0), 3)
+    holds = {pref.ranked: check_substitutable(pref).holds for pref in relations}
+    assert len(holds) == count == 13_700
+    masks = 0
+    for ranked in holds:
+        sublists = [()]  # by keep mask: bit i of the mask keeps entry i
+        for entry in ranked:
+            sublists += [sub + (entry,) for sub in sublists]
+        expected = {keep for keep, sub in enumerate(sublists) if not holds[sub]}
+        assert _failing_sublists(ranked) == expected, ranked
+        masks += len(sublists)
+    assert masks == 1_063_623
+
+
 def _report_or_refusal(search, p, rule, a, exhaustive):
     try:
         return search(p, rule, a, exhaustive)

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     brute_stable_matchings,
+    check_same_partner_counts,
+    check_underfilled_constancy,
     matching_from_mask,
     plain_kept_whole,
     random_profile,
@@ -18,6 +20,7 @@ from conftest import (
     random_substitutable_profile,
     relation,
 )
+import manymatch
 from manymatch import (
     AgentId,
     Matching,
@@ -35,8 +38,6 @@ from manymatch.stability import (
     BlockingPair,
     _kept_whole,
     blocking_pairs,
-    check_same_partner_counts,
-    check_underfilled_constancy,
     clear_enumeration_cache,
     is_individually_rational,
     is_stable,
@@ -146,6 +147,16 @@ class TestEnumerate:
             enumerate_stable(p)
         monkeypatch.undo()
         assert set(enumerate_stable(p)) == {DEMO_MU_F, DEMO_MU_W}
+
+    def test_enumerate_stable_is_the_cached_enumerator(self, demo_market):
+        # no forwarding layer: every name for the enumerator is one object,
+        # and the reset empties that object's cache
+        assert stability.enumerate_stable is manymatch.enumerate_stable
+        assert stability.enumerate_stable is stability._enumerate_cached
+        enumerate_stable(demo_market.profile)
+        assert stability._enumerate_cached.cache_info().currsize > 0
+        clear_enumeration_cache()
+        assert stability._enumerate_cached.cache_info().currsize == 0
 
     def test_matches_plain_python_scan_on_bundled_markets(
         self, demo_market, firms_immune_market, workers_immune_market
