@@ -3,8 +3,9 @@ responsive-preference generator for building axiom-satisfying relations.
 
 Checkers are exhaustive over the members an agent actually lists (unlisted
 partners can never enter a choice set, so they cannot create or hide a
-violation) and report a replayable witness on failure, whose offer and
-reduced sets are masks over the agent's opposite side.
+violation).  Each returns the first violation's witness, whose offer and
+reduced sets are masks over the agent's opposite side, or None when the
+axiom holds.
 
 A responsive list, the order ``responsive_preference`` builds from a ranking
 and a quota, satisfies both axioms, so each check first asks whether the
@@ -22,13 +23,12 @@ visit every offer S but remove only members of Ch(S): removing an unchosen
 member r never changes the choice, because the first entry inside S is
 still inside S - r and no earlier entry can fit inside the smaller set.
 Such a removal violates neither axiom, so each offer costs |Ch(S)| lookups.
-The table lives for one call; only the reports are cached.
+The table lives for one call; only the answers are cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from math import comb
 from operator import eq
@@ -43,11 +43,6 @@ from .core import AgentId, PreferenceRelation, UnsupportedSizeError, bits
 CHECK_CAP = 16
 
 
-class Axiom(Enum):
-    SUBSTITUTABILITY = "substitutability"
-    LAD = "lad"
-
-
 @dataclass(frozen=True)
 class AxiomWitness:
     """A concrete violation: re-running choice on these sets breaks the axiom.
@@ -58,18 +53,10 @@ class AxiomWitness:
     ``offer_set`` despite being a subset of it.
     """
 
-    agent: AgentId
     offer_set: int
     reduced_set: int
     kept: int | None
     removed: int
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    axiom: Axiom
-    holds: bool
-    witness: AxiomWitness | None = None
 
 
 def _listed_members(pref: PreferenceRelation) -> int:
@@ -135,35 +122,32 @@ def _choice_table(pref: PreferenceRelation, universe: int) -> list[int]:
     return list(map(entries.__getitem__, best))
 
 
-def _violation(axiom: Axiom, pref: PreferenceRelation, universe: int, offer: int,
-               removed: int, kept: int | None = None) -> AxiomReport:
+def _violation(universe: int, offer: int, removed: int, kept: int | None = None) -> AxiomWitness:
     """The witness for the renumbered ``offer`` less its renumbered member
     ``removed``, with the renumbered member ``kept`` if given."""
     members = list(bits(universe))
     offer_mask = 0
     for index, member in enumerate(members):
         offer_mask |= (offer >> index & 1) << member
-    witness = AxiomWitness(
-        pref.owner,
+    return AxiomWitness(
         offer_mask,
         offer_mask & ~(1 << members[removed]),
         None if kept is None else members[kept],
         members[removed],
     )
-    return AxiomReport(axiom, False, witness)
 
 
 @lru_cache(maxsize=4096)
-def check_substitutable(pref: PreferenceRelation) -> AxiomReport:
-    """Does every chosen partner stay chosen when another partner leaves the
-    offer set?  Exhaustive over all offer sets drawn from the listed members.
-
-    The witness is the first violation with offers in descending numeric
-    order and, within one offer, (kept, removed) pairs ascending.
+def check_substitutable(pref: PreferenceRelation) -> AxiomWitness | None:
+    """The first partner chosen from an offer set but dropped when another
+    partner leaves it, or None when every chosen partner stays chosen.
+    Exhaustive over all offer sets drawn from the listed members, in
+    descending numeric order and, within one offer, over (kept, removed)
+    pairs ascending.
     """
     universe = _listed_members(pref)
     if _is_responsive(pref.ranked, universe):
-        return AxiomReport(Axiom.SUBSTITUTABILITY, True)
+        return None
     choices = _choice_table(pref, universe)
     for offer in range(len(choices) - 1, 0, -1):
         chosen = rest = choices[offer]
@@ -177,24 +161,24 @@ def check_substitutable(pref: PreferenceRelation) -> AxiomReport:
             for kept in bits(chosen):
                 for removed in bits(chosen & ~(1 << kept)):
                     if not choices[offer & ~(1 << removed)] >> kept & 1:
-                        return _violation(Axiom.SUBSTITUTABILITY, pref, universe, offer,
-                                          removed, kept)
-    return AxiomReport(Axiom.SUBSTITUTABILITY, True)
+                        return _violation(universe, offer, removed, kept)
+    return None
 
 
 @lru_cache(maxsize=4096)
-def check_lad(pref: PreferenceRelation) -> AxiomReport:
-    """Is the number of chosen partners weakly monotone in the offer set?
+def check_lad(pref: PreferenceRelation) -> AxiomWitness | None:
+    """The first offer set that chooses fewer partners than a subset of it,
+    or None when the number chosen is weakly monotone in the offer set.
 
     Scans every offer set and every single-member removal; a violation by an
     arbitrary subset pair implies a single-removal violation along the chain
     between the two sets, so this scan is complete (tests confirm against an
-    all-pairs oracle).  The witness is the first violation with offers in
-    descending numeric order and removals ascending.
+    all-pairs oracle).  Offers go in descending numeric order, removals
+    ascending.
     """
     universe = _listed_members(pref)
     if _is_responsive(pref.ranked, universe):
-        return AxiomReport(Axiom.LAD, True)
+        return None
     choices = _choice_table(pref, universe)
     for offer in range(len(choices) - 1, 0, -1):
         chosen = rest = choices[offer]
@@ -203,8 +187,8 @@ def check_lad(pref: PreferenceRelation) -> AxiomReport:
             member = rest & -rest
             rest ^= member
             if choices[offer ^ member].bit_count() > count:
-                return _violation(Axiom.LAD, pref, universe, offer, member.bit_length() - 1)
-    return AxiomReport(Axiom.LAD, True)
+                return _violation(universe, offer, member.bit_length() - 1)
+    return None
 
 
 @dataclass(frozen=True)

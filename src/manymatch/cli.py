@@ -93,19 +93,20 @@ def _load(path: str) -> MarketInstance:
 
 def _cmd_validate(args, instance: MarketInstance) -> tuple[int, dict]:
     p = instance.profile
-    checkers = [checker for checker, axiom in ((check_substitutable, "substitutable"),
-                                               (check_lad, "lad")) if args.axiom in (axiom, "all")]
+    # (checker, its JSON label) for each axiom ``--axiom`` selects
+    checkers = [(checker, label) for checker, axiom, label in (
+        (check_substitutable, "substitutable", "substitutability"), (check_lad, "lad", "lad"),
+    ) if args.axiom in (axiom, "all")]
 
     reports = []
     for agent in p.agents():
         names = instance.side_names(agent.side.opposite)
-        for checker in checkers:
-            report = checker(p[agent])
-            w = report.witness
+        for checker, label in checkers:
+            w = checker(p[agent])
             reports.append({
                 "agent": instance.name_of(agent),
-                "axiom": report.axiom.value,
-                "holds": report.holds,
+                "axiom": label,
+                "holds": w is None,
                 "witness": None if w is None else {
                     "offer_set": [names[i] for i in bits(w.offer_set)],
                     "reduced_set": [names[i] for i in bits(w.reduced_set)],
@@ -172,8 +173,8 @@ def _cmd_manipulate(args, instance: MarketInstance) -> tuple[int, dict]:
         "profitable": [
             {
                 "reported": relation_names(outcome.reported, instance),
-                "substitutable": check_substitutable(outcome.reported).holds,
-                "lad": check_lad(outcome.reported).holds,
+                "substitutable": check_substitutable(outcome.reported) is None,
+                "lad": check_lad(outcome.reported) is None,
                 "matching": matching_to_dict(outcome.manipulated, instance),
                 "verdict_common": outcome.verdict_common.value,
                 "verdict_blair": outcome.verdict_blair.value,
@@ -227,8 +228,8 @@ def _cmd_verify_gmt(args, instance: MarketInstance) -> tuple[int, dict]:
                 {
                     "target": matching_to_dict(check.target, instance),
                     "reported": relation_names(check.outcome.reported, instance),
-                    "substitutable": check_substitutable(check.outcome.reported).holds,
-                    "lad": check_lad(check.outcome.reported).holds,
+                    "substitutable": check_substitutable(check.outcome.reported) is None,
+                    "lad": check_lad(check.outcome.reported) is None,
                     "gmt_assertions": list(check.assertions),
                 }
                 for check in v.checks

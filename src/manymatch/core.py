@@ -200,7 +200,10 @@ class Profile:
 
     def __getitem__(self, agent: AgentId) -> PreferenceRelation:
         prefs = self.firm_prefs if agent.side is Side.FIRM else self.worker_prefs
-        return prefs[agent.index]
+        try:
+            return prefs[agent.index]
+        except IndexError:
+            raise ValueError(f"no {agent} in the profile") from None
 
 
 def replace_preference(profile: Profile, agent: AgentId, pref: PreferenceRelation) -> Profile:

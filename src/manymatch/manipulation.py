@@ -89,6 +89,7 @@ from .stability import enumerate_stable, is_stable
 CANDIDATE_CAP = 1 << 14
 
 _T = TypeVar("_T")
+_MISSING = object()  # a ``_kept`` miss; None is a value the memo keeps
 
 
 # Kept only because perfbench/tracer.py wraps this name; nothing in the package calls it.
@@ -129,6 +130,7 @@ def restrict_preference(pref: PreferenceRelation, t: int) -> PreferenceRelation:
 def candidate_set_H(a: AgentId, baseline: Matching, p: Profile) -> tuple[Matching, ...]:
     """The stable matchings Blair-strictly better for ``a`` than ``baseline``,
     the rule's output on ``p``: the targets a restriction strategy can secure."""
+    p[a]  # refuses an agent outside the profile
     ss = enumerate_stable(p)
     if not ss:
         raise ValueError("stable set is empty")
@@ -220,9 +222,10 @@ def _kept(p: Profile, key: Hashable, compute: Callable[[], _T]) -> _T:
     except AttributeError:
         memo = {}
         object.__setattr__(p, "_memo", memo)
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute()
+    return value
 
 
 def _truthful_standing(
@@ -251,9 +254,9 @@ def _axiom_failure(p: Profile) -> tuple[str, AgentId] | None:
     law of aggregate demand, as an error template and its agent; None when
     every relation satisfies both."""
     for pref in p.firm_prefs + p.worker_prefs:
-        if not check_substitutable(pref).holds:
+        if check_substitutable(pref) is not None:
             return "{agent} fails substitutability", pref.owner
-        if not check_lad(pref).holds:
+        if check_lad(pref) is not None:
             return "{agent} fails the law of aggregate demand", pref.owner
     return None
 
@@ -271,8 +274,7 @@ def verify_gmt(
     disabled to watch the construction fail on profiles outside its domain;
     when enabled, its verdict is kept on ``p`` like the truthful standing.
     """
-    if a.index >= p.side_count(a.side):
-        raise ValueError(f"no {a} in the profile")
+    p[a]  # refuses an agent outside the profile
     if require_axioms:
         failure = _kept(p, "axioms", lambda: _axiom_failure(p))
         if failure is not None:
@@ -382,8 +384,6 @@ def gmt_counterexample_check(
     the selector rules run once per report, as only the enumeration tells
     whether a report leaves a stable matching.
     """
-    if a.index >= p.side_count(a.side):
-        raise ValueError(f"no {a} in the profile")
     true = p[a]
     if exhaustive:
         mode, scope = "exhaustive", "all strict preference lists over the opposite side"
@@ -409,7 +409,7 @@ def gmt_counterexample_check(
     proposing = PROPOSING.get(rule)
     da = proposing is not None
     if exhaustive:  # the candidates are relations
-        fails = lambda reported: not check_substitutable(reported).holds
+        fails = lambda reported: check_substitutable(reported) is not None
         gains = lambda reported: not better.isdisjoint(reported.ranked)
         report = lambda reported: reported
     else:  # the candidates are keep masks over the true list's positions

@@ -112,9 +112,8 @@ def _firms_immune_rows(inst: MarketInstance) -> list[tuple[str, str, str]]:
     p = inst.profile
     mu_w = apply_rule(StableRule.WORKER_OPTIMAL, p)
     mu_f = apply_rule(StableRule.FIRM_OPTIMAL, p)
-    report = check_lad(p[inst.agent_id("f1")])
-    witness, names = report.witness, inst.worker_names
-    lad = "holds" if report.holds else (
+    witness, names = check_lad(p[inst.agent_id("f1")]), inst.worker_names
+    lad = "holds" if witness is None else (
         f"fails: X={{{format_names([names[i] for i in bits(witness.offer_set)])}}} "
         f"Y={{{format_names([names[i] for i in bits(witness.reduced_set)])}}}")
     rows = [

@@ -56,7 +56,7 @@ def deferred_acceptance(p: Profile, proposing: Side) -> Matching:
     optimality guarantee does not survive without it.
     """
     for pref in p.firm_prefs + p.worker_prefs:
-        if not check_substitutable(pref).holds:
+        if check_substitutable(pref) is not None:
             raise PreconditionError(
                 "deferred acceptance requires substitutability; {agent} fails it", pref.owner)
     return da_rounds(p, proposing)
@@ -101,10 +101,10 @@ def compare_common(mu1: Matching, mu2: Matching, a: AgentId, p: Profile) -> Orde
     Unlisted sets rank below the empty set and are incomparable to each other;
     the verdict is Equal exactly when the two partner sets are identical.
     """
+    pref = p[a]
     s1, s2 = matched_set(mu1, a), matched_set(mu2, a)
     if s1 == s2:
         return OrderVerdict.EQUAL
-    pref = p[a]
     r1, r2 = pref.rank_of(s1), pref.rank_of(s2)
     if r1 is None and r2 is None:
         return OrderVerdict.INCOMPARABLE
@@ -118,10 +118,11 @@ def compare_common(mu1: Matching, mu2: Matching, a: AgentId, p: Profile) -> Orde
 def compare_blair(mu1: Matching, mu2: Matching, a: AgentId, p: Profile) -> OrderVerdict:
     """Compare two matchings at one agent by choice over the union of the two
     assignments; incomparable when the union's choice is a third set."""
+    pref = p[a]
     s1, s2 = matched_set(mu1, a), matched_set(mu2, a)
     if s1 == s2:
         return OrderVerdict.EQUAL
-    best = choice_mask(s1 | s2, p[a])
+    best = choice_mask(s1 | s2, pref)
     if best == s1:
         return OrderVerdict.BETTER_STRICT
     if best == s2:

@@ -50,14 +50,11 @@ def _views(mu: Matching, p: Profile) -> tuple[list[int], list[int]]:
     return [mu.row(f) for f in range(p.num_firms)], transpose(mu.rows, p.num_workers)
 
 
-def is_individually_rational(mu: Matching, p: Profile) -> tuple[bool, tuple[AgentId, ...]]:
+def is_individually_rational(mu: Matching, p: Profile) -> bool:
     """True when no agent would drop part of its own assignment."""
     firm_views, worker_views = _views(mu, p)
-    violators = tuple(
-        pref.owner for pref, view in zip(p.firm_prefs + p.worker_prefs, firm_views + worker_views)
-        if choice_mask(view, pref) != view
-    )
-    return (not violators, violators)
+    return all(choice_mask(view, pref) == view
+               for pref, view in zip(p.firm_prefs + p.worker_prefs, firm_views + worker_views))
 
 
 def blocking_pairs(mu: Matching, p: Profile) -> tuple[BlockingPair, ...]:
@@ -79,8 +76,7 @@ def blocking_pairs(mu: Matching, p: Profile) -> tuple[BlockingPair, ...]:
 
 def is_stable(mu: Matching, p: Profile) -> bool:
     """Individually rational and free of blocking pairs."""
-    ok, _ = is_individually_rational(mu, p)
-    return ok and not blocking_pairs(mu, p)
+    return is_individually_rational(mu, p) and not blocking_pairs(mu, p)
 
 
 def _kept_whole(pref: PreferenceRelation) -> dict[int, int]:

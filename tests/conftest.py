@@ -68,7 +68,7 @@ def plain_deferred_acceptance(p: Profile, proposing: Side) -> tuple[Matching, li
     responder in every round.  Returns the matching and, per proposer, the
     mask of responders that rejected it."""
     for pref in p.firm_prefs + p.worker_prefs:
-        if not check_substitutable(pref).holds:
+        if check_substitutable(pref) is not None:
             raise PreconditionError(
                 "deferred acceptance requires substitutability; {agent} fails it", pref.owner)
 
@@ -377,7 +377,7 @@ def random_substitutable_relation(owner: AgentId, opposite: int,
     """Rejection-sample an arbitrary relation until it passes the checker."""
     for _ in range(300):
         pref = random_relation(owner, opposite, rng)
-        if check_substitutable(pref).holds:
+        if check_substitutable(pref) is None:
             return pref
     singles = [pset(i) for i in range(opposite)]
     rng.shuffle(singles)

@@ -16,7 +16,7 @@ from conftest import (
     sorted_responsive_order,
 )
 from manymatch import AgentId, QuotaRanking, Side, responsive_preference
-from manymatch.axioms import Axiom, AxiomReport, check_lad, check_substitutable
+from manymatch.axioms import check_lad, check_substitutable
 from manymatch.core import PreferenceRelation, UnsupportedSizeError, choice_mask
 
 F = Side.FIRM
@@ -34,56 +34,52 @@ def firms_immune_f1() -> PreferenceRelation:
 
 class TestSubstitutability:
     def test_odd_lad_relation_is_substitutable(self):
-        assert check_substitutable(odd_lad_relation()).holds
+        assert check_substitutable(odd_lad_relation()) is None
 
     def test_firms_immune_relation_is_substitutable(self):
-        assert check_substitutable(firms_immune_f1()).holds
+        assert check_substitutable(firms_immune_f1()) is None
 
     def test_singleton_lists_are_substitutable(self):
         pref = relation(AgentId(W, 0), (2,), (0,), (1,))
-        assert check_substitutable(pref).holds
+        assert check_substitutable(pref) is None
 
     def test_pair_only_relation_fails_with_pinned_witness(self):
         pref = relation(AgentId(F, 0), (0, 1))
-        report = check_substitutable(pref)
-        assert not report.holds
-        w = report.witness
+        w = check_substitutable(pref)
+        assert w is not None
         assert w.offer_set == pset(0, 1)
         assert w.kept == 0
         assert w.removed == 1
         assert w.reduced_set == pset(0)
 
-    def test_report_axiom_tag(self):
-        assert check_substitutable(odd_lad_relation()).axiom is Axiom.SUBSTITUTABILITY
-
 
 class TestLad:
     def test_odd_lad_relation_fails_with_pinned_witness(self):
-        report = check_lad(odd_lad_relation())
-        assert not report.holds
-        assert report.witness.offer_set == pset(0, 1, 2)
-        assert report.witness.reduced_set == pset(0, 2)
-        assert report.witness.removed == 1
+        w = check_lad(odd_lad_relation())
+        assert w is not None
+        assert w.offer_set == pset(0, 1, 2)
+        assert w.reduced_set == pset(0, 2)
+        assert w.removed == 1
 
     def test_firms_immune_f1_fails_with_pinned_witness(self):
-        report = check_lad(firms_immune_f1())
-        assert not report.holds
-        assert report.witness.offer_set == pset(1, 2, 3)
-        assert report.witness.reduced_set == pset(2, 3)
+        w = check_lad(firms_immune_f1())
+        assert w is not None
+        assert w.offer_set == pset(1, 2, 3)
+        assert w.reduced_set == pset(2, 3)
 
     def test_singleton_lists_satisfy_lad(self):
         pref = relation(AgentId(F, 0), (1,), (0,), (2,))
-        assert check_lad(pref).holds
+        assert check_lad(pref) is None
 
     def test_pair_only_relation_satisfies_lad(self):
         # the axioms are independent: this one is LAD-true, substitutable-false
         pref = relation(AgentId(F, 0), (0, 1))
-        assert check_lad(pref).holds
-        assert not check_substitutable(pref).holds
+        assert check_lad(pref) is None
+        assert check_substitutable(pref) is not None
 
     def test_axiom_independence_both_ways(self):
-        assert check_substitutable(odd_lad_relation()).holds
-        assert not check_lad(odd_lad_relation()).holds
+        assert check_substitutable(odd_lad_relation()) is None
+        assert check_lad(odd_lad_relation()) is not None
 
     def test_size_cap(self):
         big = relation(AgentId(F, 0), tuple(range(17)))
@@ -104,12 +100,11 @@ class TestLad:
         at_cap = responsive_preference(
             QuotaRanking(AgentId(F, 0), tuple(range(15, -1, -1)), 2))
         assert len(at_cap.ranked) == 136
-        assert check_substitutable(at_cap).holds
-        assert check_lad(at_cap).holds
+        assert check_substitutable(at_cap) is None
+        assert check_lad(at_cap) is None
         whole = relation(AgentId(F, 0), tuple(range(16)), (3,))
-        report = check_substitutable(whole)
-        assert (report.witness.offer_set, report.witness.kept, report.witness.removed) == (
-            (1 << 16) - 1, 0, 1)
+        w = check_substitutable(whole)
+        assert (w.offer_set, w.kept, w.removed) == ((1 << 16) - 1, 0, 1)
 
 
 class TestResponsiveGenerator:
@@ -162,8 +157,8 @@ def random_responsive_relations(rng, count, max_members=9):
 class TestRecognizedResponsiveLists:
     def test_every_generator_output_holds_without_a_table(self, no_choice_table):
         for pref in random_responsive_relations(random.Random(14), 400):
-            assert check_substitutable(pref) == AxiomReport(Axiom.SUBSTITUTABILITY, True)
-            assert check_lad(pref) == AxiomReport(Axiom.LAD, True)
+            assert check_substitutable(pref) is None
+            assert check_lad(pref) is None
 
     def test_perturbed_lists_match_the_oracles(self):
         # one entry dropped, two entries swapped, or a superset of an entry
@@ -197,13 +192,9 @@ def arbitrary_relations(draw, max_opposite=4, max_entries=8):
     return PreferenceRelation(owner=AgentId(F, 0), ranked=tuple(entries))
 
 
-def found(report):
-    """A report in the oracles' form: None, or (offer, reduced, kept, removed)."""
-    if report.holds:
-        assert report.witness is None
-        return None
-    w = report.witness
-    return w.offer_set, w.reduced_set, w.kept, w.removed
+def found(w):
+    """A check's answer in the oracles' form: None, or (offer, reduced, kept, removed)."""
+    return None if w is None else (w.offer_set, w.reduced_set, w.kept, w.removed)
 
 
 def assert_checkers_match_oracles(pref):
@@ -241,11 +232,9 @@ def test_checkers_find_the_oracles_first_witness_on_sparse_members():
 
 @given(arbitrary_relations())
 def test_substitutability_witness_replays(pref):
-    report = check_substitutable(pref)
-    if report.holds:
+    w = check_substitutable(pref)
+    if w is None:
         return
-    w = report.witness
-    assert w.agent == pref.owner
     assert w.reduced_set == w.offer_set & ~(1 << w.removed)
     assert choice_mask(w.offer_set, pref) >> w.kept & 1
     assert not choice_mask(w.reduced_set, pref) >> w.kept & 1
@@ -253,17 +242,16 @@ def test_substitutability_witness_replays(pref):
 
 @given(arbitrary_relations())
 def test_lad_witness_replays(pref):
-    report = check_lad(pref)
-    if report.holds:
+    w = check_lad(pref)
+    if w is None:
         return
-    w = report.witness
     assert w.reduced_set == w.offer_set & ~(1 << w.removed)
     assert choice_mask(w.reduced_set, pref).bit_count() > choice_mask(w.offer_set, pref).bit_count()
 
 
 @given(arbitrary_relations())
 def test_single_removal_lad_equals_all_pairs_oracle(pref):
-    assert check_lad(pref).holds == all_pairs_lad_holds(pref)
+    assert (check_lad(pref) is None) == all_pairs_lad_holds(pref)
 
 
 @st.composite
@@ -278,8 +266,8 @@ def quota_rankings(draw, max_opposite=5, max_quota=3):
 @given(quota_rankings())
 def test_generator_output_satisfies_both_axioms(q):
     pref = responsive_preference(q)
-    assert check_substitutable(pref).holds
-    assert check_lad(pref).holds
+    assert check_substitutable(pref) is None
+    assert check_lad(pref) is None
     assert first_substitutability_violation(pref) is None
     assert first_lad_violation(pref) is None
 
@@ -305,7 +293,7 @@ def test_generator_corpus_thousand_rankings():
     for _ in range(1000):
         q = random_quota_ranking(AgentId(F, 0), rng.randint(1, 5), rng, max_quota=3)
         pref = responsive_preference(q)
-        assert check_substitutable(pref).holds
-        assert check_lad(pref).holds
+        assert check_substitutable(pref) is None
+        assert check_lad(pref) is None
         assert first_substitutability_violation(pref) is None
         assert first_lad_violation(pref) is None

@@ -82,7 +82,7 @@ class TestPreferenceRelation:
         listed = PreferenceRelation(AgentId(F, 0), [pset(0, 1), pset(0), pset(1)])
         built = PreferenceRelation(AgentId(F, 0), (pset(0, 1), pset(0), pset(1)))
         assert listed == built and hash(listed) == hash(built)
-        assert check_substitutable(listed).holds and check_lad(listed).holds
+        assert check_substitutable(listed) is None and check_lad(listed) is None
 
 
 def two_by_two_profile() -> Profile:

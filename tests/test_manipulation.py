@@ -156,7 +156,7 @@ class TestTruncationStrategy:
         w1 = AgentId(W, 0)
         m = truncation_strategy(w1, DEMO_MU_W, p)
         assert m.ranked == (pset(0),)
-        assert check_substitutable(m).holds and check_lad(m).holds
+        assert check_substitutable(m) is None and check_lad(m) is None
         w4 = AgentId(W, 3)
         assert truncation_strategy(w4, DEMO_MU_W, p).ranked == (pset(2),)
 
@@ -219,7 +219,7 @@ class TestEvaluateMisreport:
         p = demo_market.profile
         w1 = AgentId(W, 0)
         m = relation(w1, (0, 2))
-        assert not check_substitutable(m).holds
+        assert check_substitutable(m) is not None
         outcome = evaluate_misreport(m, StableRule.FIRM_OPTIMAL, p, DEMO_MU_F)
         assert outcome.failure is not None
         assert outcome.manipulated is None
@@ -450,7 +450,7 @@ def _da_sublist_counts(p: Profile, a: AgentId, baseline: Matching) -> tuple[int,
     failures = runs = 0
     for keep in range(1 << len(true.ranked)):
         ranked = tuple(entry for i, entry in enumerate(true.ranked) if keep >> i & 1)
-        if not check_substitutable(PreferenceRelation(a, ranked)).holds:
+        if check_substitutable(PreferenceRelation(a, ranked)) is not None:
             failures += 1
         elif any(true.rank_of(entry) < bar for entry in ranked):
             runs += 1
@@ -702,14 +702,23 @@ class TestCounterexampleSearch:
     lambda p, a: verify_gmt(a, StableRule.FIRM_OPTIMAL, p),
     lambda p, a: gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, a),
     lambda p, a: gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, a, exhaustive=True),
-], ids=["verify_gmt", "sublists", "exhaustive"])
+    lambda p, a: p[a],
+    lambda p, a: compare_common(DEMO_MU_F, DEMO_MU_W, a, p),
+    lambda p, a: compare_common(DEMO_MU_F, DEMO_MU_F, a, p),
+    lambda p, a: compare_blair(DEMO_MU_F, DEMO_MU_W, a, p),
+    lambda p, a: truncation_strategy(a, DEMO_MU_F, p),
+    lambda p, a: candidate_set_H(a, DEMO_MU_W, p),
+], ids=["verify_gmt", "sublists", "exhaustive", "profile", "compare_common", "compare_equal",
+        "compare_blair", "truncation_strategy", "candidate_set_H"])
 @pytest.mark.parametrize("agent, message", [
     (AgentId(F, 3), "^no firm 3 in the profile$"),
     (AgentId(W, 4), "^no worker 4 in the profile$"),
 ], ids=["firm", "worker"])
 def test_agent_outside_the_profile_refused_before_any_work(monkeypatch, demo_market, check,
                                                            agent, message):
-    # the 3x4 demo market; an exhaustive search for firm 3 would also exceed the cap
+    # the 3x4 demo market; an exhaustive search for firm 3 would also exceed the
+    # cap.  Every reader of the agent's relation refuses through
+    # ``Profile.__getitem__``, even where both matchings give it the same empty set
     import manymatch.manipulation as manipulation
 
     def no_apply_rule(*args):
@@ -769,7 +778,7 @@ def test_sublist_verdicts_equal_the_substitutability_check():
         for keep in range(1 << len(ranked)):
             sublist = PreferenceRelation(AgentId(F, 0), tuple(
                 entry for i, entry in enumerate(ranked) if keep >> i & 1))
-            assert (keep in failing) is not check_substitutable(sublist).holds, (ranked, keep)
+            assert (keep in failing) is (check_substitutable(sublist) is not None), (ranked, keep)
         failures += len(failing)
         total += 1 << len(ranked)
     assert 0 < failures < total
@@ -783,7 +792,7 @@ def test_sublist_verdicts_on_every_list_over_three_partners():
     from manymatch.manipulation import _all_relations, _failing_sublists
 
     count, relations = _all_relations(AgentId(F, 0), 3)
-    holds = {pref.ranked: check_substitutable(pref).holds for pref in relations}
+    holds = {pref.ranked: check_substitutable(pref) is None for pref in relations}
     assert len(holds) == count == 13_700
     masks = 0
     for ranked in holds:
@@ -794,6 +803,38 @@ def test_sublist_verdicts_on_every_list_over_three_partners():
         assert _failing_sublists(ranked) == expected, ranked
         masks += len(sublists)
     assert masks == 1_063_623
+
+
+def test_a_report_without_a_better_entry_never_gains_under_deferred_acceptance():
+    # the search's second shortcut, checked against a rule run: under either
+    # DA rule, a substitutable sublist that keeps no entry the true list ranks
+    # above the baseline set never hands the agent a better set.  The sample:
+    # 300 seeded substitutable profiles of each shape, 2x3 and 3x2, every
+    # agent under both rules, and every such sublist of its true list.
+    runs = below_top = 0
+    for n, m in ((2, 3), (3, 2)):
+        for seed in range(300):
+            rng = random.Random(seed)
+            p = Profile(
+                tuple(random_substitutable_relation(AgentId(F, i), m, rng) for i in range(n)),
+                tuple(random_substitutable_relation(AgentId(W, j), n, rng) for j in range(m)))
+            for proposing in (Side.FIRM, Side.WORKER):
+                baseline = da_rounds(p, proposing)
+                for a in p.agents():
+                    true = p[a]
+                    above = true.rank_of(matched_set(baseline, a))  # the baseline is stable
+                    below_top += above > 0
+                    rest = true.ranked[above:]
+                    for keep in range(1 << len(rest)):
+                        reported = PreferenceRelation(a, tuple(
+                            entry for i, entry in enumerate(rest) if keep >> i & 1))
+                        if check_substitutable(reported) is not None:
+                            continue
+                        manipulated = da_rounds(replace_preference(p, a, reported), proposing)
+                        verdict = compare_common(manipulated, baseline, a, p)
+                        assert verdict is not OrderVerdict.BETTER_STRICT, (p, a, proposing, keep)
+                        runs += 1
+    assert (runs, below_top) == (20_789, 2_679)
 
 
 def _report_or_refusal(search, p, rule, a, exhaustive):
@@ -858,7 +899,7 @@ def test_search_equals_the_plain_per_candidate_search(monkeypatch):
     def counting_da_rounds(q, proposing):
         rounds.append(q)
         # the precondition the rounds skip holds on every profile they get
-        assert all(check_substitutable(pref).holds for pref in q.firm_prefs + q.worker_prefs)
+        assert all(check_substitutable(pref) is None for pref in q.firm_prefs + q.worker_prefs)
         return da_rounds(q, proposing)
 
     monkeypatch.setattr(manipulation, "apply_rule", counting_apply_rule)
@@ -931,7 +972,7 @@ def test_side_optimum_from_deferred_acceptance_equals_the_enumerated_one():
             "off_domain": 0, "off_domain_no_optimum": 0, "checks": 0}
 
     def substitutable(p):
-        return all(check_substitutable(pref).holds for pref in p.firm_prefs + p.worker_prefs)
+        return all(check_substitutable(pref) is None for pref in p.firm_prefs + p.worker_prefs)
 
     def verified_optimum(p, side):
         rules = StableRule if substitutable(p) else (StableRule.SELECT_FIRST,
@@ -951,7 +992,7 @@ def test_side_optimum_from_deferred_acceptance_equals_the_enumerated_one():
     for p in draws:
         assert substitutable(p)
         ss = enumerate_stable(p)
-        without_lad = not all(check_lad(pref).holds for pref in p.firm_prefs + p.worker_prefs)
+        without_lad = not all(check_lad(pref) is None for pref in p.firm_prefs + p.worker_prefs)
         seen["without_lad"] += without_lad
         seen["several_stable"] += len(ss) >= 2
         seen["several_stable_without_lad"] += len(ss) >= 2 and without_lad
@@ -1012,7 +1053,7 @@ def test_restriction_of_substitutable_stays_substitutable(seed, offer_mask):
     pref = random_substitutable_relation(AgentId(F, 0), 4, rng)
     t = choice_mask(offer_mask, pref)
     restricted = restrict_preference(pref, t)
-    assert check_substitutable(restricted).holds
+    assert check_substitutable(restricted) is None
 
 
 @settings(max_examples=80, deadline=None)

@@ -59,18 +59,14 @@ EX2_MU_W = Matching.from_pairs([(0, 2), (0, 3), (1, 0), (1, 1)])
 
 class TestIndividualRationality:
     def test_empty_matching_is_rational(self, demo_market):
-        ok, violators = is_individually_rational(Matching.empty(), demo_market.profile)
-        assert ok and violators == ()
+        assert is_individually_rational(Matching.empty(), demo_market.profile) is True
 
     def test_demo_firm_optimal_is_rational(self, demo_market):
-        ok, _ = is_individually_rational(DEMO_MU_F, demo_market.profile)
-        assert ok
+        assert is_individually_rational(DEMO_MU_F, demo_market.profile) is True
 
     def test_overfull_firm_violates(self, demo_market):
         mu = Matching.from_pairs([(1, 0), (1, 1)])
-        ok, violators = is_individually_rational(mu, demo_market.profile)
-        assert not ok
-        assert violators == (AgentId(F, 1),)
+        assert is_individually_rational(mu, demo_market.profile) is False
 
 
 class TestBlockingPairs:
@@ -278,7 +274,7 @@ def test_stability_decomposes_into_rationality_and_no_blocks(seed, raw_mask):
     p = random_profile(random.Random(seed), max_side=3)
     bits = p.num_firms * p.num_workers
     mu = matching_from_mask(raw_mask % (1 << bits), p.num_workers)
-    rational, _ = is_individually_rational(mu, p)
+    rational = is_individually_rational(mu, p)
     assert is_stable(mu, p) == (rational and not blocking_pairs(mu, p))
 
 

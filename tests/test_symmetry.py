@@ -1,4 +1,4 @@
-"""Exchanging firms and workers: the symmetry oracle.
+"""Exchanging firms and workers, and relabelling one side: the symmetry oracles.
 
 Every definition in the package treats the two sides alike.  Exchanging them
 (worker j becomes firm j and firm i becomes worker i, each keeping its list)
@@ -8,6 +8,12 @@ fast paths handle the two orientations in separate code (firm rows against
 transposed worker columns, the proposing side of deferred acceptance), so a
 slip in one orientation shows here; the transpose below is built from the
 edge set, not from the package's own.
+
+No definition reads an agent's index either, so renaming the agents of one
+side by a permutation must permute the stable set and both DA outputs the
+same way and leave every axiom verdict as it is.  That catches a fast path
+that leans on index order, such as the enumerator's firm-by-firm search or
+the choice table's renumbering of the listed members.
 """
 
 import random
@@ -15,6 +21,7 @@ import random
 from conftest import random_relation, random_responsive_market, random_substitutable_profile
 from manymatch import AgentId, Matching, Profile, Side, StableRule, deferred_acceptance
 from manymatch import enumerate_stable, verify_gmt
+from manymatch.axioms import check_lad, check_substitutable
 from manymatch.core import NoStableMatchingError, PreconditionError, PreferenceRelation
 from manymatch.manipulation import gmt_counterexample_check
 
@@ -115,3 +122,55 @@ def test_exchanging_the_sides_mirrors_every_result():
                     profitable += bool(here[-1])
     # the corpus reaches the cases the mirror has to carry
     assert min(multi, applicable, profitable) >= 100, (multi, applicable, profitable)
+
+
+def relabelled(p: Profile, side: Side, order: list[int]) -> Profile:
+    """``p`` with agent i of ``side`` renamed ``order[i]``: its list moves to
+    slot ``order[i]``, and every list on the other side names it there."""
+    def moved(mask: int) -> int:
+        return sum((mask >> i & 1) << new for i, new in enumerate(order))
+
+    own, other = (p.firm_prefs, p.worker_prefs) if side is Side.FIRM else (p.worker_prefs,
+                                                                           p.firm_prefs)
+    slots = [None] * len(own)
+    for pref, new in zip(own, order):
+        slots[new] = PreferenceRelation(AgentId(side, new), pref.ranked)
+    renamed = tuple(PreferenceRelation(pref.owner, tuple(map(moved, pref.ranked)))
+                    for pref in other)
+    return Profile(tuple(slots), renamed) if side is Side.FIRM else Profile(renamed, tuple(slots))
+
+
+def relabelled_matching(mu: Matching, side: Side, order: list[int]) -> Matching:
+    """``mu`` with agent i of ``side`` renamed ``order[i]``, built from its edge set."""
+    if side is Side.FIRM:
+        return Matching.from_pairs((order[f], w) for f, w in mu.edges)
+    return Matching.from_pairs((f, order[w]) for f, w in mu.edges)
+
+
+def test_relabelling_one_side_permutes_every_result():
+    # 1,050 profiles; each permutes the firms or the workers, in turn, by a
+    # seeded permutation that moves at least one agent.  The selector rules
+    # pick by canonical order, which a relabelling does not keep, so the
+    # stable sets are compared as sets.
+    multi = refused = 0
+    for seed, p in enumerate(symmetry_profiles(1050)):
+        side = Side.FIRM if seed % 2 else Side.WORKER
+        rng = random.Random(seed)
+        order = list(range(p.side_count(side)))
+        while order == sorted(order):
+            rng.shuffle(order)
+        q = relabelled(p, side, order)
+        relabel = lambda mu: relabelled_matching(mu, side, order)
+        ss = enumerate_stable(p)
+        assert {relabel(mu) for mu in ss} == set(enumerate_stable(q)), (p, order)
+        multi += len(ss) >= 2
+        for proposing in (Side.FIRM, Side.WORKER):
+            here = attempt(lambda: deferred_acceptance(p, proposing), relabel)
+            assert here == attempt(lambda: deferred_acceptance(q, proposing), lambda mu: mu)
+            refused += here is PreconditionError
+        for a in p.agents():
+            b = AgentId(a.side, order[a.index]) if a.side is side else a
+            for check in (check_substitutable, check_lad):
+                assert (check(p[a]) is None) == (check(q[b]) is None), (p, order, a)
+    # the corpus reaches several stable matchings and DA refusals alike
+    assert min(multi, refused) >= 100, (multi, refused)
