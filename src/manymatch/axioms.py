@@ -13,7 +13,7 @@ list is one: whether it is the responsive order of its own singletons, in
 list order, with its first (largest) entry's size as the quota.  A count of
 the entries rejects most other lists before anything is allocated, and the
 order is then generated and compared in one pass, so recognition costs
-O(entries) and needs no table.  The member cap applies all the same.
+O(entries) and needs no table.
 
 Every other list gets one choice table.  The k listed members are
 renumbered 0..k-1 in index order, which keeps the numeric order of sets, and
@@ -38,8 +38,8 @@ from .core import AgentId, PreferenceRelation, UnsupportedSizeError, bits
 
 # The choice table has one slot per subset of the listed members, so a check
 # takes O(2^k * k) steps and a few lists of 2^k ints.  At the cap, k = 16,
-# that is 65,536 sets and about 1.5 MiB at peak; the cap is checked before
-# anything is allocated, and before a responsive list is recognized.
+# that is 65,536 sets and about 1.5 MiB at peak.  Only the table is capped,
+# before it is allocated; a responsive list is answered at any length.
 CHECK_CAP = 16
 
 
@@ -60,16 +60,10 @@ class AxiomWitness:
 
 
 def _listed_members(pref: PreferenceRelation) -> int:
-    """The members ``pref`` lists, as a mask; more than ``CHECK_CAP`` of them
-    are refused."""
+    """The members ``pref`` lists, as a mask."""
     universe = 0
     for entry in pref.ranked:
         universe |= entry
-    count = universe.bit_count()
-    if count > CHECK_CAP:
-        raise UnsupportedSizeError(
-            f"axiom checks scan all subsets of the listed members; "
-            f"{{agent}} lists {count} > {CHECK_CAP}", pref.owner)
     return universe
 
 
@@ -95,8 +89,13 @@ def _is_responsive(ranked: tuple[int, ...], universe: int) -> bool:
 
 def _choice_table(pref: PreferenceRelation, universe: int) -> list[int]:
     """``choices[S]`` = Ch(S) for every set S of the listed members
-    ``universe``, both S and Ch(S) over the renumbered members."""
+    ``universe``, both S and Ch(S) over the renumbered members; more than
+    ``CHECK_CAP`` members are refused before the table is allocated."""
     count = universe.bit_count()
+    if count > CHECK_CAP:
+        raise UnsupportedSizeError(
+            f"axiom checks scan all subsets of the listed members; "
+            f"{{agent}} lists {count} > {CHECK_CAP}", pref.owner)
     # best[S]: the rank of the first entry inside S (len(pref.ranked) if none).
     # It starts as the rank of S itself; each pass folds the top index bit,
     # best[S + top] = min(best[S + top], best[S]), then interleaves the two

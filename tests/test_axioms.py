@@ -88,13 +88,16 @@ class TestLad:
         with pytest.raises(UnsupportedSizeError):
             check_substitutable(big)
 
-    def test_size_cap_holds_for_a_responsive_list(self):
-        # seventeen singletons: the responsive order for quota 1, refused all the same
+    def test_size_cap_spares_a_responsive_list(self):
+        # the cap sizes the choice table, which a responsive list never needs:
+        # seventeen singletons (quota 1) and full rankings over 32 members
         singles = relation(AgentId(F, 0), *((i,) for i in range(17)))
-        with pytest.raises(UnsupportedSizeError):
-            check_lad(singles)
-        with pytest.raises(UnsupportedSizeError):
-            check_substitutable(singles)
+        wide = [responsive_preference(QuotaRanking(AgentId(F, 0), tuple(range(31, -1, -1)), q))
+                for q in (2, 3)]
+        assert [len(pref.ranked) for pref in wide] == [528, 5488]
+        for pref in (singles, *wide):
+            assert check_lad(pref) is None
+            assert check_substitutable(pref) is None
 
     def test_sixteen_members_at_the_cap_are_checked(self):
         at_cap = responsive_preference(

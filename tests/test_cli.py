@@ -255,10 +255,11 @@ class TestValidate:
 
 @pytest.mark.parametrize("command", [["validate"], ["solve", "--rule", "firm-optimal"]])
 def test_axiom_cap_error_names_the_agent(capsys, tmp_path, command):
-    # f1 lists all 17 workers, one more than the axiom checks scan
+    # f1 lists all 17 workers, one more than the choice table covers, in a
+    # list that is not responsive (the pair w1 w2 heads the singletons)
     workers = [f"w{j}" for j in range(1, 18)]
     lines = ["firms: f1 f2", "workers: " + " ".join(workers),
-             "pref f1: " + " | ".join(workers), "pref f2: w1"]
+             "pref f1: w1 w2 | " + " | ".join(workers), "pref f2: w1"]
     lines += [f"pref {w}: f1 | f2" for w in workers]
     path = tmp_path / "wide.market"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -311,13 +312,14 @@ class TestManipulate:
 
     def test_selector_search_beside_a_list_too_long_for_the_axiom_checks(self, capsys,
                                                                          tmp_path):
-        # f1 lists 17 workers, one more than the axiom checks scan.  The
+        # f1 lists 17 workers, one more than the choice table covers, in a
+        # list that is not responsive, so the axiom checks refuse it.  The
         # selector rules never need those checks, and the search counts the
         # market as outside the substitutable domain, where the side optimum
         # is read off the stable set, rather than refusing it
         workers = [f"w{j}" for j in range(1, 18)]
         lines = ["firms: f1 f2", "workers: " + " ".join(workers),
-                 "pref f1: " + " | ".join(workers), "pref f2: w1 | w2 | w3",
+                 "pref f1: w1 w2 | " + " | ".join(workers), "pref f2: w1 | w2 | w3",
                  "pref w1: f2 | f1", "pref w2: f1 | f2", "pref w3: f1 | f2"]
         lines += [f"pref {w}: f1" for w in workers[3:]]
         path = tmp_path / "wide.market"

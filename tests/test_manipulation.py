@@ -1044,6 +1044,27 @@ def test_kept_truthful_results_equal_fresh_ones(monkeypatch):
                             == _verification_or_refusal(a, rule, fresh, gate))
 
 
+def test_construction_holds_at_32_a_side_under_the_da_rules(monkeypatch):
+    # the sweep's generator at MAX_SIDE: responsive lists over up to 32
+    # partners pass the axiom checks, so DA answers every market
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    sweep = importlib.import_module("manipulability_sweep")
+    rng = random.Random(7)
+    start = time.monotonic()
+    applicable = 0
+    for _ in range(100):
+        p = sweep.random_market(rng, 32)
+        for rule in (StableRule.FIRM_OPTIMAL, StableRule.WORKER_OPTIMAL):
+            for a in p.agents():
+                v = verify_gmt(a, rule, p)
+                if v.applicable:
+                    applicable += 1
+                    assert v.all_hold, (rule, a)
+    elapsed = time.monotonic() - start
+    assert applicable == 88
+    assert elapsed < 3.0, f"took {elapsed:.2f}s"
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 100_000), st.integers(0, 15))
 def test_restriction_of_substitutable_stays_substitutable(seed, offer_mask):

@@ -42,13 +42,14 @@ def test_manipulability_sweep_on_markets_up_to_six_a_side():
 
 
 def test_manipulability_sweep_counts_a_market_over_a_size_limit_as_refused():
-    # at seed 7, market 3 draws 17 firms, and a worker listing all 17 passes CHECK_CAP
-    proc = run_sweep("--markets", "4", "--seed", "7", "--max-side", "17", expect=3)
+    # at seed 2, market 0 draws 30 firms and 30 workers, too many for the
+    # stable-set enumeration's budget
+    proc = run_sweep("--markets", "1", "--seed", "2", "--max-side", "32", expect=3)
     lines = proc.stdout.splitlines()
     assert "assertion failures: 0" in lines
     assert "markets refused by a size limit: 1" in lines
     assert lines[lines.index("markets refused by a size limit: 1") + 1].startswith(
-        "  market 3 (17 x 4): axiom checks scan all subsets")
+        "  market 0 (30 x 30): stable-set enumeration needs more than its budget")
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
