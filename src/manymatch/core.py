@@ -206,14 +206,12 @@ class Profile:
             raise ValueError(f"no {agent} in the profile") from None
 
 
-def replace_preference(profile: Profile, agent: AgentId, pref: PreferenceRelation) -> Profile:
-    """A new profile identical to ``profile`` except at ``agent``; only ``pref`` is checked."""
-    if pref.owner != agent:
-        raise ValueError(f"replacement preference owned by {pref.owner}, not {agent}")
+def replace_preference(profile: Profile, pref: PreferenceRelation) -> Profile:
+    """A new profile identical to ``profile`` except at ``pref.owner``; only ``pref`` is checked."""
     sides = [profile.firm_prefs, profile.worker_prefs]
-    s, i = int(agent.side is Side.WORKER), agent.index
+    s, i = int(pref.owner.side is Side.WORKER), pref.owner.index
     if i >= len(sides[s]):
-        raise ValueError(f"no {agent} in the profile")
+        raise ValueError(f"no {pref.owner} in the profile")
     if max(pref.ranked, default=0) >> len(sides[1 - s]):
         raise ValueError(f"preference of {pref.owner} references unknown partners")
     sides[s] = sides[s][:i] + (pref,) + sides[s][i + 1:]

@@ -155,7 +155,7 @@ def evaluate_misreport(
     the rule's output on ``p_true``; flag whether the manipulated matching is
     even stable under the truth (it need not be)."""
     try:
-        manipulated = apply_rule(rule, replace_preference(p_true, reported.owner, reported))
+        manipulated = apply_rule(rule, replace_preference(p_true, reported))
     except (PreconditionError, NoStableMatchingError) as exc:
         return ManipulationOutcome(reported=reported, failure=str(exc))
     return _outcome(reported, p_true, manipulated, baseline,
@@ -292,7 +292,7 @@ def verify_gmt(
     for target in targets:
         reported = truncation_strategy(a, target, p)
         outcome = evaluate_misreport(reported, rule, p, baseline)
-        stays = is_stable(target, replace_preference(p, a, reported))
+        stays = is_stable(target, replace_preference(p, reported))
         checks.append(GmtCheck(target, outcome, stays))
     return GmtVerification(
         agent=a, rule=rule, applicable=applicable, baseline=baseline,
@@ -426,7 +426,7 @@ def gmt_counterexample_check(
             if not gains(candidate):
                 continue
         reported = report(candidate)
-        swapped = replace_preference(p, a, reported)
+        swapped = replace_preference(p, reported)
         try:
             manipulated = da_rounds(swapped, proposing) if da else apply_rule(rule, swapped)
         except NoStableMatchingError:

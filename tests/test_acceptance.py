@@ -271,7 +271,7 @@ def test_criterion_8_restriction_and_stability_preservation(corpus500):
                 restricted = restrict_preference(p[a], t)
                 assert restriction_items_hold(p[a], restricted, t), (
                     f"market {market_index}: restriction clauses fail at {a}")
-                swapped = replace_preference(p, a, restricted)
+                swapped = replace_preference(p, restricted)
                 assert is_stable(mu, swapped), (
                     f"market {market_index}: {a}'s truncation destabilizes the matching")
     print("\n[PASS] criterion 8: restriction clauses and stability preservation hold for "

@@ -231,7 +231,7 @@ class TestEvaluateMisreport:
         p_bad = empty_stable_set_profile
         f1 = AgentId(F, 1)
         tame = relation(f1, (1,))
-        p_true = replace_preference(p_bad, f1, tame)
+        p_true = replace_preference(p_bad, tame)
         assert len(enumerate_stable(p_true)) > 0
         m = p_bad[f1]
         baseline = apply_rule(StableRule.SELECT_FIRST, p_true)
@@ -602,7 +602,7 @@ class TestCounterexampleSearch:
         # every nonempty set of f1's 4 workers: 15 entries, 2^15 sublists
         everything = relation(AgentId(F, 0), *(
             [i for i in range(4) if mask >> i & 1] for mask in range(15, 0, -1)))
-        p = replace_preference(demo_market.profile, AgentId(F, 0), everything)
+        p = replace_preference(demo_market.profile, everything)
         with pytest.raises(UnsupportedSizeError, match="^sublists misreport search for "
                            "firm 0 would try more than 16384 candidates$") as refusal:
             gmt_counterexample_check(p, StableRule.WORKER_OPTIMAL, AgentId(F, 0))
@@ -630,7 +630,7 @@ class TestCounterexampleSearch:
         p = demo_market.profile
         if entries is not None:
             sets = [[i for i in range(4) if mask >> i & 1] for mask in range(15, 0, -1)]
-            p = replace_preference(p, agent, relation(agent, *sets[:entries]))
+            p = replace_preference(p, relation(agent, *sets[:entries]))
         expected = UnsupportedSizeError if refused else ReachedTheSearch
         with pytest.raises(expected):
             gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, agent, exhaustive=exhaustive)
@@ -744,7 +744,7 @@ def test_stability_survives_truncation_to_own_assignment(responsive_corpus):
         for mu in enumerate_stable(p):
             for a in p.agents():
                 reported = restrict_preference(p[a], matched_set(mu, a))
-                assert is_stable(mu, replace_preference(p, a, reported))
+                assert is_stable(mu, replace_preference(p, reported))
 
 
 def test_restriction_faithfulness_on_corpus(responsive_corpus):
@@ -830,7 +830,7 @@ def test_a_report_without_a_better_entry_never_gains_under_deferred_acceptance()
                             entry for i, entry in enumerate(rest) if keep >> i & 1))
                         if check_substitutable(reported) is not None:
                             continue
-                        manipulated = da_rounds(replace_preference(p, a, reported), proposing)
+                        manipulated = da_rounds(replace_preference(p, reported), proposing)
                         verdict = compare_common(manipulated, baseline, a, p)
                         assert verdict is not OrderVerdict.BETTER_STRICT, (p, a, proposing, keep)
                         runs += 1
@@ -1063,6 +1063,23 @@ def test_construction_holds_at_32_a_side_under_the_da_rules(monkeypatch):
     elapsed = time.monotonic() - start
     assert applicable == 88
     assert elapsed < 3.0, f"took {elapsed:.2f}s"
+
+
+def test_an_agent_applicable_under_firm_optimal_means_two_stable_matchings(monkeypatch):
+    # the sweep reads multi-stability off its firm-optimal pairs: firm-
+    # proposing DA gives every worker its worst stable set and
+    # worker-proposing DA its best, and the stable set lies between them
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
+    sweep = importlib.import_module("manipulability_sweep")
+    multi = 0
+    for max_side, count in ((4, 300), (6, 100), (8, 100)):
+        rng = random.Random(7)
+        for index in range(count):
+            p = sweep.random_market(rng, max_side)
+            some = any(verify_gmt(a, StableRule.FIRM_OPTIMAL, p).applicable for a in p.agents())
+            assert some == (len(enumerate_stable(p)) >= 2), (max_side, index)
+            multi += some
+    assert multi == 19 + 9 + 9
 
 
 @settings(max_examples=80, deadline=None)

@@ -42,10 +42,12 @@ def test_manipulability_sweep_on_markets_up_to_six_a_side():
 
 
 def test_manipulability_sweep_counts_a_market_over_a_size_limit_as_refused():
-    # at seed 2, market 0 draws 30 firms and 30 workers, too many for the
-    # stable-set enumeration's budget
+    # at seed 2, market 0 draws 30 firms and 30 workers: the DA rules verify
+    # its pairs, and the selector rules' enumeration is over its budget
     proc = run_sweep("--markets", "1", "--seed", "2", "--max-side", "32", expect=3)
     lines = proc.stdout.splitlines()
+    assert "markets: 1   with >=2 stable matchings: 1" in lines
+    assert "applicable (agent, rule) pairs: 20" in lines
     assert "assertion failures: 0" in lines
     assert "markets refused by a size limit: 1" in lines
     assert lines[lines.index("markets refused by a size limit: 1") + 1].startswith(

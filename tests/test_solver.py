@@ -59,7 +59,7 @@ class TestDeferredAcceptance:
         p = firms_immune_market.profile
         f1 = AgentId(F, 0)
         truncated = relation(f1, (0, 1), (0,), (1,))
-        swapped = replace_preference(p, f1, truncated)
+        swapped = replace_preference(p, truncated)
         expected = Matching.from_pairs([(1, 0), (1, 3), (2, 1), (2, 2)])
         assert deferred_acceptance(swapped, W) == expected
 
