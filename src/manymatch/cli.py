@@ -38,6 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
+    with_file = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_file.add_argument("file")
 
     parser = argparse.ArgumentParser(
         prog="manymatch",
@@ -45,32 +47,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_validate = sub.add_parser("validate", parents=[common],
+    p_validate = sub.add_parser("validate", parents=[with_file],
                                 help="check preference axioms for every agent")
-    p_validate.add_argument("file")
     p_validate.add_argument("--axiom", choices=("substitutable", "lad", "all"), default="all")
     p_validate.add_argument("--strict", action="store_true",
                             help="exit 1 when any checked axiom is violated")
 
-    p_solve = sub.add_parser("solve", parents=[common], help="apply a stable matching rule")
-    p_solve.add_argument("file")
+    p_solve = sub.add_parser("solve", parents=[with_file], help="apply a stable matching rule")
     p_solve.add_argument("--rule", choices=sorted(_RULES), required=True)
 
-    p_enum = sub.add_parser("enumerate", parents=[common],
-                            help="list every stable matching in canonical order")
-    p_enum.add_argument("file")
+    sub.add_parser("enumerate", parents=[with_file],
+                   help="list every stable matching in canonical order")
 
-    p_manip = sub.add_parser("manipulate", parents=[common],
+    p_manip = sub.add_parser("manipulate", parents=[with_file],
                              help="search one agent's misreports for a profitable one")
-    p_manip.add_argument("file")
     p_manip.add_argument("--agent", required=True)
     p_manip.add_argument("--rule", choices=sorted(_RULES), required=True)
     p_manip.add_argument("--exhaustive", action="store_true",
                          help="search every strict preference list (small opposite sides only)")
 
-    p_gmt = sub.add_parser("verify-gmt", parents=[common],
+    p_gmt = sub.add_parser("verify-gmt", parents=[with_file],
                            help="verify the truncation construction's four assertions")
-    p_gmt.add_argument("file")
     p_gmt.add_argument("--rule", choices=sorted(_RULES), required=True)
     who = p_gmt.add_mutually_exclusive_group(required=True)
     who.add_argument("--agent")

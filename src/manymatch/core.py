@@ -11,24 +11,28 @@ the mask its side.
 All values are immutable after construction and all operations are pure.
 ``PreferenceRelation`` and ``Profile`` key the package's caches, so each
 keeps its hash, computed on first use, in a private non-field attribute.  A
-``Profile`` also carries, in a second such attribute, the memo the
-manipulation module fills with results that depend on the profile alone (the
-truthful rule outputs, which hold each side's optimum when every relation is
-substitutable, and the axiom verdict); it is created on first use and lives
-as long as the object, so a newly built profile starts with none.  Equality
-and ``repr`` stay the generated ones, and neither they nor the hash read
-either attribute.  No hash in this module covers a string or enum hash (those
-vary with ``PYTHONHASHSEED``), so a kept hash that ``pickle`` carries to
-another process of the same interpreter build stays valid.
+``Profile`` also carries, in a second such attribute, the memo that ``kept``
+fills with results that depend on the profile alone (the manipulation
+module's truthful rule outputs, which hold each side's optimum when every
+relation is substitutable, and its axiom verdict); it is created on first use
+and lives as long as the object, so a newly built profile starts with none.
+Equality and ``repr`` stay the generated ones, and neither they nor the hash
+read either attribute.  No hash in this module covers a string or enum hash
+(those vary with ``PYTHONHASHSEED``), so a kept hash that ``pickle`` carries
+to another process of the same interpreter build stays valid.  Only this
+module writes either attribute or builds a record without its checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 MAX_SIDE = 32
+
+_T = TypeVar("_T")
+_MISSING = object()  # a ``kept`` miss; None is a value the memo keeps
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -58,6 +62,31 @@ def _hash_once(key: Callable[..., tuple]) -> Callable[..., int]:
             object.__setattr__(self, "_hash", hash(key(self)))
             return self._hash
     return __hash__
+
+
+def kept(record: object, key: Hashable, compute: Callable[[], _T]) -> _T:
+    """``compute()``, kept under ``key`` in the memo dict that ``record``
+    carries outside its fields.  A ``compute()`` that raises stores nothing,
+    so the next call raises again."""
+    try:
+        memo = record._memo
+    except AttributeError:
+        memo = {}
+        object.__setattr__(record, "_memo", memo)
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute()
+    return value
+
+
+def unchecked(cls: type[_T], **fields: object) -> _T:
+    """A ``cls`` record holding ``fields`` as its constructor would store
+    them, without ``__post_init__``.  Each field is set on its own: reading
+    ``__dict__`` would give the record a second dict to carry."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
 
 
 class MatchingError(Exception):
@@ -193,10 +222,10 @@ class Profile:
         return len(self.firm_prefs if side is Side.FIRM else self.worker_prefs)
 
     def agents(self) -> Iterator[AgentId]:
-        for i in range(self.num_firms):
-            yield AgentId(Side.FIRM, i)
-        for j in range(self.num_workers):
-            yield AgentId(Side.WORKER, j)
+        """Every agent, firms first: the relations' owners, each at its own slot."""
+        for prefs in (self.firm_prefs, self.worker_prefs):
+            for pref in prefs:
+                yield pref.owner
 
     def __getitem__(self, agent: AgentId) -> PreferenceRelation:
         prefs = self.firm_prefs if agent.side is Side.FIRM else self.worker_prefs
@@ -215,10 +244,7 @@ def replace_preference(profile: Profile, pref: PreferenceRelation) -> Profile:
     if max(pref.ranked, default=0) >> len(sides[1 - s]):
         raise ValueError(f"preference of {pref.owner} references unknown partners")
     sides[s] = sides[s][:i] + (pref,) + sides[s][i + 1:]
-    swapped = object.__new__(Profile)  # set up as ``__init__`` does, minus ``__post_init__``
-    object.__setattr__(swapped, "firm_prefs", sides[0])
-    object.__setattr__(swapped, "worker_prefs", sides[1])
-    return swapped
+    return unchecked(Profile, firm_prefs=sides[0], worker_prefs=sides[1])
 
 
 @dataclass(frozen=True)
@@ -280,25 +306,21 @@ class MarketInstance:
     profile: Profile
 
     def __post_init__(self) -> None:
-        if len(set(self.firm_names)) != len(self.firm_names):
-            raise ValueError("duplicate firm names")
-        if len(set(self.worker_names)) != len(self.worker_names):
-            raise ValueError("duplicate worker names")
-        if len(self.firm_names) != self.profile.num_firms:
-            raise ValueError("firm name count does not match profile")
-        if len(self.worker_names) != self.profile.num_workers:
-            raise ValueError("worker name count does not match profile")
+        for side in Side:
+            if len(set(self.side_names(side))) != len(self.side_names(side)):
+                raise ValueError(f"duplicate {side.value} names")
+        for side in Side:
+            if len(self.side_names(side)) != self.profile.side_count(side):
+                raise ValueError(f"{side.value} name count does not match profile")
 
     def agent_id(self, name: str) -> AgentId:
-        if name in self.firm_names:
-            return AgentId(Side.FIRM, self.firm_names.index(name))
-        if name in self.worker_names:
-            return AgentId(Side.WORKER, self.worker_names.index(name))
+        for side in Side:
+            if name in self.side_names(side):
+                return AgentId(side, self.side_names(side).index(name))
         raise MatchingError(f"unknown agent name {name!r}")
 
     def name_of(self, agent: AgentId) -> str:
-        names = self.firm_names if agent.side is Side.FIRM else self.worker_names
-        return names[agent.index]
+        return self.side_names(agent.side)[agent.index]
 
     def side_names(self, side: Side) -> tuple[str, ...]:
         return self.firm_names if side is Side.FIRM else self.worker_names

@@ -90,34 +90,31 @@ def parse_market(text: str) -> MarketInstance:
     for label in ("firms", "workers"):
         if label not in declared:
             raise ParseError(f"missing '{label}:' line")
-    firm_names, worker_names = declared["firms"], declared["workers"]
-    if len(firm_names) > MAX_SIDE or len(worker_names) > MAX_SIDE:
+    names = (declared["firms"], declared["workers"])  # by side, firms first
+    if any(len(side_names) > MAX_SIDE for side_names in names):
         raise ParseError(f"at most {MAX_SIDE} agents per side are supported")
-    if not firm_names or not worker_names:
+    if not all(names):
         raise ParseError("each side needs at least one agent")
-    firm_index, worker_index = {}, {}  # name -> index on its side
-    for side_label, names, index in (("firm", firm_names, firm_index),
-                                     ("worker", worker_names, worker_index)):
-        for name in names:
-            if name in index:
-                raise ParseError(f"duplicate {side_label} name {name!r}")
-            index[name] = len(index)
-    overlap = firm_index.keys() & worker_index.keys()
+    index = ({}, {})  # by side: name -> index on that side
+    for side, side_names, side_index in zip(Side, names, index):
+        for name in side_names:
+            if name in side_index:
+                raise ParseError(f"duplicate {side.value} name {name!r}")
+            side_index[name] = len(side_index)
+    overlap = index[0].keys() & index[1].keys()
     if overlap:
         raise ParseError(f"name {sorted(overlap)[0]!r} declared on both sides")
 
-    firm_prefs, worker_prefs = [None] * len(firm_names), [None] * len(worker_names)
+    prefs = tuple([None] * len(side_names) for side_names in names)
+    # name -> (agent, its partners' name -> index, the relation slots of its side)
+    owners = {name: (AgentId(side, i), index[1 - s], prefs[s])
+              for s, side in enumerate(Side) for name, i in index[s].items()}
     for lineno, head, start, body, offset in pref_lines:
         name = head.strip()
-        if name in firm_index:
-            owner = AgentId(Side.FIRM, firm_index[name])
-            slots, members, member_side = firm_prefs, worker_index, Side.WORKER
-        elif name in worker_index:
-            owner = AgentId(Side.WORKER, worker_index[name])
-            slots, members, member_side = worker_prefs, firm_index, Side.FIRM
-        else:
+        if name not in owners:
             raise ParseError(f"pref line for undeclared agent {name!r}", lineno,
                              _column(head, start, name))
+        owner, members, slots = owners[name]
         if slots[owner.index] is not None:
             raise ParseError(f"duplicate pref line for agent {name!r}", lineno)
 
@@ -134,7 +131,8 @@ def parse_market(text: str) -> MarketInstance:
             for token in tokens:
                 if token not in members:
                     raise ParseError(
-                        f"unknown {member_side.value} name {token!r} in the pref line of {name!r}",
+                        f"unknown {owner.side.opposite.value} name {token!r} "
+                        f"in the pref line of {name!r}",
                         lineno, _column(alt, offset, token))
                 bit = 1 << members[token]
                 if mask & bit:
@@ -148,15 +146,12 @@ def parse_market(text: str) -> MarketInstance:
             offset += len(alt) + 1
         slots[owner.index] = PreferenceRelation(owner=owner, ranked=tuple(ranked))
 
-    for names, slots in ((firm_names, firm_prefs), (worker_names, worker_prefs)):
-        for name, pref in zip(names, slots):
+    for side_names, slots in zip(names, prefs):
+        for name, pref in zip(side_names, slots):
             if pref is None:
                 raise ParseError(f"missing pref line for agent {name!r}")
 
-    return MarketInstance(
-        firm_names=tuple(firm_names), worker_names=tuple(worker_names),
-        profile=Profile(firm_prefs=tuple(firm_prefs), worker_prefs=tuple(worker_prefs)),
-    )
+    return MarketInstance(*map(tuple, names), Profile(*prefs))
 
 
 def format_names(names: Sequence[str]) -> str:

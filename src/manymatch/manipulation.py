@@ -51,11 +51,10 @@ patterns for L entries over k members, and none for a list of singletons.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import perm
-from typing import TypeVar
 
 from .axioms import check_lad, check_substitutable
 from .core import (
@@ -69,8 +68,10 @@ from .core import (
     UnsupportedSizeError,
     bits,
     choice_mask,
+    kept,
     matched_set,
     replace_preference,
+    unchecked,
 )
 from .solver import (
     PROPOSING,
@@ -82,14 +83,11 @@ from .solver import (
     da_rounds,
     side_optimal,
 )
-from .stability import enumerate_stable, is_stable
+from .stability import SEARCH_BUDGET, enumerate_stable, is_stable, setup_charge
 
 # The most reports one misreport search tries: all 2^14 sublists of a
 # 14-entry list, or the 13,700 strict lists over a 3-agent opposite side.
 CANDIDATE_CAP = 1 << 14
-
-_T = TypeVar("_T")
-_MISSING = object()  # a ``_kept`` miss; None is a value the memo keeps
 
 
 # Kept only because perfbench/tracer.py wraps this name; nothing in the package calls it.
@@ -123,8 +121,8 @@ def restrict_preference(pref: PreferenceRelation, t: int) -> PreferenceRelation:
         raise PreconditionError(
             "restriction target is not a choice fixed point for {agent}", pref.owner
         )
-    kept = tuple(entry for entry in pref.ranked if entry & ~t == 0)
-    return PreferenceRelation(owner=pref.owner, ranked=kept)
+    inside = tuple(entry for entry in pref.ranked if entry & ~t == 0)
+    return PreferenceRelation(owner=pref.owner, ranked=inside)
 
 
 def candidate_set_H(a: AgentId, baseline: Matching, p: Profile) -> tuple[Matching, ...]:
@@ -213,21 +211,6 @@ class GmtVerification:
         return (bool(self.checks) or not self.applicable) and all(c.all_hold for c in self.checks)
 
 
-def _kept(p: Profile, key: Hashable, compute: Callable[[], _T]) -> _T:
-    """``compute()``, kept under ``key`` in the memo dict that ``p`` carries
-    outside its fields (see ``core``).  A ``compute()`` that raises stores
-    nothing, so the next call raises again."""
-    try:
-        memo = p._memo
-    except AttributeError:
-        memo = {}
-        object.__setattr__(p, "_memo", memo)
-    value = memo.get(key, _MISSING)
-    if value is _MISSING:
-        value = memo[key] = compute()
-    return value
-
-
 def _truthful_standing(
     a: AgentId, rule: StableRule, p: Profile
 ) -> tuple[Matching, Matching | None, bool]:
@@ -239,10 +222,10 @@ def _truthful_standing(
     DA refuses ``p``, read off the (cached) enumeration.  Rule outputs depend
     on ``p`` alone, so they are kept on it, by rule, for every later agent of
     the same object; a swapped profile starts with none."""
-    baseline = _kept(p, rule, lambda: apply_rule(rule, p))
+    baseline = kept(p, rule, lambda: apply_rule(rule, p))
     own = StableRule.FIRM_OPTIMAL if a.side is Side.FIRM else StableRule.WORKER_OPTIMAL
     try:
-        optimum = _kept(p, own, lambda: apply_rule(own, p))
+        optimum = kept(p, own, lambda: apply_rule(own, p))
     except (PreconditionError, UnsupportedSizeError):
         optimum = side_optimal(enumerate_stable(p), p, a.side)
     applicable = optimum is None or matched_set(baseline, a) != matched_set(optimum, a)
@@ -276,7 +259,7 @@ def verify_gmt(
     """
     p[a]  # refuses an agent outside the profile
     if require_axioms:
-        failure = _kept(p, "axioms", lambda: _axiom_failure(p))
+        failure = kept(p, "axioms", lambda: _axiom_failure(p))
         if failure is not None:
             raise PreconditionError(*failure)
 
@@ -316,15 +299,6 @@ class CounterexampleReport:
     search_scope: str
 
 
-def _valid_relation(owner: AgentId, ranked: tuple[int, ...]) -> PreferenceRelation:
-    """``PreferenceRelation(owner, ranked)`` without ``__post_init__``, for
-    lists of distinct in-range sets taken from a list already checked."""
-    pref = object.__new__(PreferenceRelation)
-    object.__setattr__(pref, "owner", owner)
-    object.__setattr__(pref, "ranked", ranked)
-    return pref
-
-
 def _all_relations(owner: AgentId, opposite_count: int) -> tuple[int, Iterator[PreferenceRelation]]:
     """Every strict list of distinct nonempty subsets of the opposite side,
     shortest first, and their number: the sum over l of P!/(P-l)! for P
@@ -338,7 +312,7 @@ def _all_relations(owner: AgentId, opposite_count: int) -> tuple[int, Iterator[P
                 for members in combinations(range(opposite_count), size)]
         for length in range(sets + 1):
             for ranked in permutations(pool, length):
-                yield _valid_relation(owner, ranked)
+                yield unchecked(PreferenceRelation, owner=owner, ranked=ranked)
 
     return count, relations()
 
@@ -374,9 +348,11 @@ def gmt_counterexample_check(
     Exhaustive mode tries every strict preference list over the opposite
     side; otherwise the order-preserving sublists of the true list, and the
     report says so.  A search that would try more than ``CANDIDATE_CAP``
-    reports is refused before any work.  Reports the rule cannot process (a
-    no-longer-substitutable list fed to deferred acceptance, or a profile
-    with no stable matching) count as rule failures, never as profitable.
+    reports is refused before any work, as is a selector-rule search whose
+    reports, each charged ``p``'s enumeration set-up, exceed ``SEARCH_BUDGET``.
+    Reports the rule cannot process (a no-longer-substitutable list fed to
+    deferred acceptance, or a profile with no stable matching) count as rule
+    failures, never as profitable.
 
     A report is profitable when the rule hands ``a`` a set its true list
     ranks above the baseline's.  Under the two DA rules the shortcuts of the
@@ -393,9 +369,14 @@ def gmt_counterexample_check(
                                    "relations outside the true list were not searched")
         total = 1 << len(true.ranked)
         candidates = range(total)
+    proposing = PROPOSING.get(rule)
+    da = proposing is not None
     if total > CANDIDATE_CAP:
         raise UnsupportedSizeError(f"{mode} misreport search for {{agent}} would try more "
                                    f"than {CANDIDATE_CAP} candidates", a)
+    if not da and total * setup_charge(p) > SEARCH_BUDGET:
+        raise UnsupportedSizeError(f"{mode} misreport search for {{agent}} under {rule.value} "
+                                   f"would charge more than {SEARCH_BUDGET} set-up steps", a)
     baseline, _, applicable = _truthful_standing(a, rule, p)
     if not applicable:
         total, candidates = 0, ()
@@ -406,8 +387,6 @@ def gmt_counterexample_check(
     # exactly the entries ranked above that set beat it; ``above`` holds their positions
     better = frozenset(true.ranked[:true.rank_of(matched_set(baseline, a))])
     above = (1 << len(better)) - 1
-    proposing = PROPOSING.get(rule)
-    da = proposing is not None
     if exhaustive:  # the candidates are relations
         fails = lambda reported: check_substitutable(reported) is not None
         gains = lambda reported: not better.isdisjoint(reported.ranked)
@@ -415,7 +394,8 @@ def gmt_counterexample_check(
     else:  # the candidates are keep masks over the true list's positions
         fails = (_failing_sublists(true.ranked) if da and applicable else set()).__contains__
         gains = lambda keep: keep & above
-        report = lambda keep: _valid_relation(a, tuple(true.ranked[i] for i in bits(keep)))
+        report = lambda keep: unchecked(PreferenceRelation, owner=a,
+                                        ranked=tuple(true.ranked[i] for i in bits(keep)))
     rule_failures = 0
     profitable = []
     for candidate in candidates:

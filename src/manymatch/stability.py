@@ -9,10 +9,10 @@ a branch is dropped only when no completion of it can be stable; tests
 cross-check the result against a plain-Python scan of all 2^(n*m) edge sets.
 
 One fixed budget of ``SEARCH_BUDGET`` steps bounds each enumeration: the
-list entries the set-up may scan are charged before any work, row trials
-during the search.  A profile over it raises ``UnsupportedSizeError`` and is
-not cached.  ``enumerate_stable`` is that cached enumerator itself, and
-``clear_enumeration_cache`` empties its cache.
+list entries the set-up may scan (``setup_charge``) are charged before any
+work, row trials during the search.  A profile over it raises
+``UnsupportedSizeError`` and is not cached.  ``enumerate_stable`` is that
+cached enumerator itself, and ``clear_enumeration_cache`` empties its cache.
 """
 
 from __future__ import annotations
@@ -103,6 +103,17 @@ def _kept_whole(pref: PreferenceRelation) -> dict[int, int]:
     return kept
 
 
+def setup_charge(p: Profile) -> int:
+    """The steps an enumeration of ``p`` charges before its search.
+
+    ``_kept_whole`` scans at most (L + 1) * L / 2 entries of a list of L; the
+    charge per list, (L + 1)^2 * (opposite + 1), bounds that with room to
+    spare and sets which markets are refused before the search."""
+    n, m = p.num_firms, p.num_workers
+    return sum((len(pref.ranked) + 1) ** 2 * (opposite + 1)
+               for prefs, opposite in ((p.firm_prefs, m), (p.worker_prefs, n)) for pref in prefs)
+
+
 @lru_cache(maxsize=1024)
 def _enumerate_cached(p: Profile) -> tuple[Matching, ...]:
     """Exactly the stable matchings of ``p``, in ascending order of the edge
@@ -112,13 +123,7 @@ def _enumerate_cached(p: Profile) -> tuple[Matching, ...]:
     Raises ``UnsupportedSizeError`` when the work exceeds ``SEARCH_BUDGET``.
     """
     n, m = p.num_firms, p.num_workers
-    # _kept_whole scans at most (L + 1) * L / 2 entries of a list of L; the
-    # charge per list, (L + 1)^2 * (opposite + 1), bounds that with room to
-    # spare and sets which markets are refused before the search
-    left = SEARCH_BUDGET - sum(
-        (len(pref.ranked) + 1) ** 2 * (opposite + 1)
-        for prefs, opposite in ((p.firm_prefs, m), (p.worker_prefs, n)) for pref in prefs
-    )
+    left = SEARCH_BUDGET - setup_charge(p)
     if left < 0:
         raise UnsupportedSizeError(f"stable-set enumeration needs more than its budget "
                                    f"of {SEARCH_BUDGET} steps before the search starts")

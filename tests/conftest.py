@@ -431,6 +431,22 @@ def random_market_instance(rng: random.Random, max_side: int = 5):
     )
 
 
+def singleton_market(size: int = 14, seed: int = 0):
+    """``size`` firms and workers named f1.. and w1.., each ranking every
+    partner alone in a random order, drawn firms first from ``seed``."""
+    from manymatch.core import MarketInstance
+
+    rng = random.Random(seed)
+
+    def prefs(side: Side) -> tuple[PreferenceRelation, ...]:
+        return tuple(relation(AgentId(side, i), *([x] for x in rng.sample(range(size), size)))
+                     for i in range(size))
+
+    profile = Profile(prefs(Side.FIRM), prefs(Side.WORKER))
+    return MarketInstance(tuple(f"f{i}" for i in range(1, size + 1)),
+                          tuple(f"w{j}" for j in range(1, size + 1)), profile)
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 

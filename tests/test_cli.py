@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import singleton_market
 from manymatch import AgentId, Profile, QuotaRanking, Side, responsive_preference
 from manymatch.cli import main
 from manymatch.core import MarketInstance
@@ -329,6 +330,17 @@ class TestManipulate:
         assert (code, err) == (0, "")
         assert out == ("agent: w1   rule: select-first   mode: sublists\n"
                        "not applicable: agent already receives its side-optimal assignment\n")
+
+    def test_selector_search_over_the_enumeration_budget_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "singletons.market"
+        path.write_text(serialize_market(singleton_market()), encoding="utf-8")
+        start = time.monotonic()
+        code, out, err = run(capsys, "manipulate", str(path),
+                             "--agent", "w1", "--rule", "select-first")
+        assert time.monotonic() - start < 2.0
+        assert (code, out) == (3, "")
+        assert err == ("error: sublists misreport search for w1 under select-first "
+                       f"would charge more than {SEARCH_BUDGET} set-up steps\n")
 
     def test_sublist_search_over_a_long_list_exits_3_before_any_work(self, capsys, tmp_path):
         # quota 2 over 8 workers: f1 lists 28 pairs and 8 singletons, 2^36 sublists

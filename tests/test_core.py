@@ -3,6 +3,7 @@
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -178,6 +179,29 @@ class TestProfile:
         assert pickle.loads(pickle.dumps(q)) == built
         assert q != p and hash(q) != hash(p)
 
+    def test_search_reports_equal_ones_built_from_scratch(self, monkeypatch):
+        # the misreport searches build their reports without the
+        # constructor's checks; equality, hash and pickling must not tell
+        # them from checked ones
+        import manymatch.manipulation as manipulation
+
+        p, a = bundled("manipulation-demo").profile, AgentId(W, 0)
+        reports = []
+
+        def recording(profile, pref):
+            reports.append(pref)
+            return replace_preference(profile, pref)
+
+        monkeypatch.setattr(manipulation, "replace_preference", recording)
+        manipulation.gmt_counterexample_check(p, StableRule.SELECT_FIRST, a)
+        assert len(reports) == 1 << len(p[a].ranked)
+        _, relations = manipulation._all_relations(a, 3)
+        reports += random.Random(0).sample(list(relations), 500)
+        for report in reports:
+            built = PreferenceRelation(report.owner, report.ranked)
+            assert report == built and hash(report) == hash(built)
+            assert pickle.loads(pickle.dumps(report)) == built
+
     @given(st.sampled_from([AgentId(F, 0), AgentId(F, 1), AgentId(W, 0), AgentId(W, 2)]),
            st.lists(st.integers(1, 31), max_size=4, unique=True))
     def test_replace_rejects_what_the_constructor_rejects(self, agent, ranked):
@@ -289,10 +313,16 @@ class TestMarketInstance:
         with pytest.raises(MatchingError, match="^unknown agent name 'nobody'$"):
             demo_market.agent_id("nobody")
 
+    # a market with two faults raises the first in this order: duplicate
+    # firm names, duplicate worker names, firm count, worker count
     @pytest.mark.parametrize("firms, workers, message", [
         (("a", "a"), ("x", "y"), "duplicate firm names"),
         (("a", "b"), ("x", "x"), "duplicate worker names"),
-    ], ids=["firm", "worker"])
+        (("a", "a"), ("x", "x"), "duplicate firm names"),
+        (("a",), ("x", "x"), "duplicate worker names"),
+        (("a", "a", "b"), ("x",), "duplicate firm names"),
+    ], ids=["firm", "worker", "firm-before-worker", "worker-before-firm-count",
+            "firm-before-worker-count"])
     def test_duplicate_names_rejected(self, firms, workers, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             MarketInstance(firms, workers, two_by_two_profile())
@@ -300,7 +330,8 @@ class TestMarketInstance:
     @pytest.mark.parametrize("firms, workers, message", [
         (("a",), ("x", "y"), "firm name count does not match profile"),
         (("a", "b"), ("x", "y", "z"), "worker name count does not match profile"),
-    ], ids=["firm", "worker"])
+        (("a",), ("x",), "firm name count does not match profile"),
+    ], ids=["firm", "worker", "firm-before-worker"])
     def test_dimension_mismatch_rejected(self, firms, workers, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             MarketInstance(firms, workers, two_by_two_profile())

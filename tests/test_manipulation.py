@@ -18,6 +18,7 @@ from conftest import (
     random_substitutable_profile,
     random_substitutable_relation,
     relation,
+    singleton_market,
     subsets_of,
 )
 from manymatch import (
@@ -54,7 +55,7 @@ from manymatch.manipulation import (
 )
 from manymatch.markets import BUNDLED, bundled
 from manymatch.solver import OrderVerdict, apply_rule, compare_blair, compare_common, da_rounds
-from manymatch.stability import is_stable
+from manymatch.stability import SEARCH_BUDGET, is_stable, setup_charge
 
 from test_stability import (
     DEMO_MU_F,
@@ -634,6 +635,36 @@ class TestCounterexampleSearch:
         expected = UnsupportedSizeError if refused else ReachedTheSearch
         with pytest.raises(expected):
             gmt_counterexample_check(p, StableRule.FIRM_OPTIMAL, agent, exhaustive=exhaustive)
+
+    @pytest.mark.parametrize("rule", list(StableRule))
+    def test_selector_search_over_the_enumeration_budget_refuses_at_once(self, monkeypatch,
+                                                                         rule):
+        # 14 x 14, every list 14 single partners: each enumeration charges
+        # 94,500 set-up steps, so w1's 2^14 sublists would charge about 1.5e9
+        # under a selector rule; the DA rules never enumerate and are not charged
+        import manymatch.manipulation as manipulation
+
+        class ReachedTheSearch(Exception):
+            pass
+
+        def sentinel(*args):
+            raise ReachedTheSearch
+
+        monkeypatch.setattr(manipulation, "_truthful_standing", sentinel)
+        instance = singleton_market()
+        p, a = instance.profile, instance.agent_id("w1")
+        assert setup_charge(p) * (1 << 14) > SEARCH_BUDGET
+        if rule in (StableRule.FIRM_OPTIMAL, StableRule.WORKER_OPTIMAL):
+            with pytest.raises(ReachedTheSearch):
+                gmt_counterexample_check(p, rule, a)
+            return
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedSizeError) as refusal:
+            gmt_counterexample_check(p, rule, a)
+        assert time.perf_counter() - start < 1.0
+        assert refusal.value.naming(instance.name_of(refusal.value.agent)) == (
+            f"sublists misreport search for w1 under {rule.value} "
+            f"would charge more than {SEARCH_BUDGET} set-up steps")
 
     @pytest.mark.parametrize("opposite_count, total", [(0, 1), (1, 2), (2, 16), (3, 13_700)])
     def test_exhaustive_count_is_the_number_of_candidates(self, opposite_count, total):

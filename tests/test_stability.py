@@ -134,6 +134,7 @@ class TestEnumerate:
         # the charge before the search: (len(list) + 1)^2 * (opposite + 1) per agent
         setup = sum((len(p[a].ranked) + 1) ** 2 * (p.side_count(a.side.opposite) + 1)
                     for a in p.agents())
+        assert stability.setup_charge(p) == setup
         clear_enumeration_cache()
         monkeypatch.setattr(stability, "SEARCH_BUDGET", setup - 1)
         with pytest.raises(UnsupportedSizeError, match=f"budget of {setup - 1} steps before"):
